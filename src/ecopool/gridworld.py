@@ -18,7 +18,6 @@ N points toward smaller y.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -397,7 +396,3 @@ def _infer_gaps(
     gaps = [(vx, y) for y in range(1, height - 1) if (vx, y) not in walls]
     gaps += [(x, hy) for x in range(1, width - 1) if (x, hy) not in walls]
     return tuple(sorted(gaps))
-
-
-def level_to_json_str(level: Level) -> str:
-    return json.dumps(level_to_json(level), separators=(", ", ": "))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -377,25 +378,57 @@ def _suite_worker(args) -> list[MetricsRecord]:
     return run_to_dir(cfg, run_seed, run_dir).records
 
 
+def _suite_tasks(cfg: ExperimentConfig, out: Path) -> list[tuple]:
+    return [
+        (cfg, run_seed, out / f"run_{run_seed:02d}") for run_seed in range(cfg.n_runs)
+    ]
+
+
+def _log_to_files(files: list[tuple[str, logging.Formatter]], level: int) -> None:
+    """Worker initializer: the package log goes to the parent's log files."""
+    pkg_logger = logging.getLogger("ecopool")
+    pkg_logger.setLevel(level)
+    for path, formatter in files:
+        handler = logging.FileHandler(path)
+        handler.setFormatter(formatter)
+        pkg_logger.addHandler(handler)
+
+
+def _run_tasks(tasks: list[tuple], jobs: int) -> list[list[MetricsRecord]]:
+    """Records of each (cfg, run seed, run dir) task, in task order.
+
+    With `jobs` > 1 the tasks share one pool of spawned worker processes;
+    `jobs` == 1 runs them one after another in this process.  Runs are
+    independent (each owns its pool), so results are identical either way.
+    """
+    if jobs > 1 and len(tasks) > 1:
+        pkg_logger = logging.getLogger("ecopool")
+        files = [
+            (h.baseFilename, h.formatter)
+            for h in pkg_logger.handlers
+            if isinstance(h, logging.FileHandler)
+        ]
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)),
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_log_to_files,
+            initargs=(files, pkg_logger.level),
+        ) as pool:
+            return list(pool.map(_suite_worker, tasks))
+    return [_suite_worker(task) for task in tasks]
+
+
 def run_suite(
     cfg: ExperimentConfig, out_dir, jobs: int = 1
 ) -> list[list[MetricsRecord]]:
     """All n_runs runs of one strategy, plus the aggregate file.
 
-    Runs are independent (each owns its pool), so `jobs` > 1 fans them
-    out over processes; results are identical either way.
+    `jobs` > 1 fans the runs out over processes (see `_run_tasks`).
     """
     cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (cfg, run_seed, out / f"run_{run_seed:02d}") for run_seed in range(cfg.n_runs)
-    ]
-    if jobs > 1 and cfg.n_runs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(_suite_worker, tasks))
-    else:
-        runs = [_suite_worker(task) for task in tasks]
+    runs = _run_tasks(_suite_tasks(cfg, out), jobs)
     export_aggregate(aggregate_runs(runs), "csv", out / "aggregate.csv")
     return runs
 
@@ -409,16 +442,26 @@ def compare_suite(
     """The same seed schedule under each strategy, side by side.
 
     Emits per-strategy suites (runs + aggregate), a combined per-checkpoint
-    table, and one chart per metric.
+    table, and one chart per metric.  Every (strategy, run seed) pair is one
+    task of a single list, so `jobs` > 1 keeps all workers busy across
+    strategies; `jobs` == 1 runs each strategy's runs in turn.
     """
     if len(strategies) < 2:
         raise ValueError("compare needs at least 2 strategies")
     out = Path(out_dir)
-    aggregates: dict[Strategy, list[AggregateRecord]] = {}
+    tasks = []
     for strategy in strategies:
         sub_cfg = replace(cfg, strategy=strategy)
-        runs = run_suite(sub_cfg, out / strategy.value, jobs=jobs)
-        aggregates[strategy] = aggregate_runs(runs)
+        sub_cfg.validate()
+        tasks += _suite_tasks(sub_cfg, out / strategy.value)
+    runs = _run_tasks(tasks, jobs)
+    aggregates: dict[Strategy, list[AggregateRecord]] = {}
+    for i, strategy in enumerate(strategies):
+        suite = runs[i * cfg.n_runs : (i + 1) * cfg.n_runs]
+        aggregates[strategy] = aggregate_runs(suite)
+        export_aggregate(
+            aggregates[strategy], "csv", out / strategy.value / "aggregate.csv"
+        )
 
     columns = ["envs_seen"]
     for strategy in strategies:

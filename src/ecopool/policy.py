@@ -196,7 +196,6 @@ def grad_loss(
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1.0 - spec.epsilon, 1.0 + spec.epsilon) * adv
     surrogate = np.minimum(unclipped, clipped)
-    assert np.all(surrogate <= unclipped + 1e-12)
     entropy = -(probs * logp_all).sum(axis=1)
 
     acts_c = _mlp_forward(params.critic, x)

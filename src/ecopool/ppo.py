@@ -4,6 +4,11 @@ The two primitives the agent eco-system consumes live here: `learn_epoch`
 (one rollout plus one update, the unit of the training-step metric) and
 `test_agent` (one greedy evaluation episode).
 
+A greedy episode stops at the first repeated (position, direction) and
+returns 0, the reward the full episode would pay: the level is static
+and the argmax policy deterministic, so from a repeated state the agent
+can only cycle until `max_steps`.
+
 Everything is deterministic given the RNG passed in; training a given
 agent on a given level is a pure function of (params, level, config,
 rng state).
@@ -206,10 +211,24 @@ def learn_epoch(
 
 
 def test_agent(params: PolicyParams, level: Level) -> float:
-    """Total reward of one greedy (argmax) episode; no learning, no rng."""
+    """Total reward of one greedy (argmax) episode; no learning, no rng.
+
+    The episode ends early, with reward 0, at the first (position,
+    direction) it acts from a second time.  This is exact: the
+    observation depends only on that pair, so the argmax action repeats
+    too and the agent cycles without reaching the goal until the step
+    budget runs out, which pays 0.  Every forward the full episode would
+    still make sees an observation already seen, so a non-finite output
+    cannot be skipped either.
+    """
     state, obs = reset(level)
+    seen = set()
     total = 0.0
     while not state.done:
+        key = (state.agent_pos, state.agent_dir)
+        if key in seen:
+            return 0.0
+        seen.add(key)
         probs, _ = forward(params, obs)
         state, obs, reward, _ = step(state, Action(int(np.argmax(probs))))
         total += reward

@@ -6,6 +6,7 @@ share no code path with the implementations under test.
 
 import numpy as np
 
+from ecopool.gridworld import Action, Level, reset, step
 from ecopool.policy import (
     LossSpec,
     Minibatch,
@@ -139,3 +140,16 @@ def random_trajectory(rng: np.random.Generator, max_len=32):
         values=rng.normal(size=n),
         bootstrap_value=float(rng.normal()),
     )
+
+
+def full_greedy_episode(params: PolicyParams, level: Level) -> float:
+    """Total reward of a greedy (argmax) episode played until the level
+    reports done: `ppo.test_agent` without its stop at the first repeated
+    state."""
+    state, obs = reset(level)
+    total = 0.0
+    while not state.done:
+        probs, _ = forward(params, obs)
+        state, obs, reward, _ = step(state, Action(int(np.argmax(probs))))
+        total += reward
+    return total

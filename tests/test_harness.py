@@ -537,6 +537,38 @@ def test_compare_suite_layout(tmp_path, monkeypatch):
         assert root.tag.endswith("svg")
 
 
+def test_compare_suite_parallel_writes_same_bytes(tmp_path):
+    cfg = _cadence_cfg(
+        n_train_envs=2,
+        eval_every=1,
+        n_eval_envs=2,
+        budget=3,
+        ppo=PpoConfig(rollout_steps=64, minibatch_size=32, update_epochs=2),
+    )
+    strategies = [Strategy.BASIC, Strategy.FORKED]
+
+    def written(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        compare_suite(cfg, strategies, out, jobs=jobs)
+        return {
+            str(p.relative_to(out)): p.read_bytes()
+            for pattern in ("*.csv", "*.jsonl")
+            for p in out.rglob(pattern)
+        }
+
+    serial = written(1)
+    assert sorted(serial) == [
+        "basic/aggregate.csv",
+        "basic/run_00/audit.jsonl",
+        "basic/run_00/metrics.csv",
+        "compare.csv",
+        "forked/aggregate.csv",
+        "forked/run_00/audit.jsonl",
+        "forked/run_00/metrics.csv",
+    ]
+    assert written(2) == serial
+
+
 def test_compare_suite_needs_two_strategies(tmp_path):
     cfg = _cadence_cfg()
     with pytest.raises(ValueError, match="2 strategies"):

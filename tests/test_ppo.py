@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from ecopool.gridworld import GridConfig, generate_level, parse_ascii
+from ecopool import gridworld
+from ecopool.gridworld import (
+    DIR_VECTORS,
+    Action,
+    GridConfig,
+    generate_level,
+    parse_ascii,
+)
 from ecopool.policy import LossSpec, Minibatch, grad_loss, init_params
 from ecopool import ppo
 from ecopool.ppo import (
@@ -14,7 +21,7 @@ from ecopool.ppo import (
     learn_epoch,
     ppo_update,
 )
-from oracles import gae_bruteforce, random_trajectory
+from oracles import full_greedy_episode, gae_bruteforce, random_trajectory
 from test_policy import _zero_params
 
 CORRIDOR_GOAL_3 = (
@@ -24,10 +31,27 @@ CORRIDOR_GOAL_3 = (
 )
 
 
-def _always_forward_params():
+def _always_params(action: Action):
     params = _zero_params()
-    params.actor[-1][1][2] = 25.0  # large Forward bias dominates the softmax
+    params.actor[-1][1][action] = 25.0  # a large bias dominates the softmax
     return params
+
+
+def _always_forward_params():
+    return _always_params(Action.FORWARD)
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Actions passed to `step` by the code under test, in order."""
+    calls = []
+
+    def counting_step(state, action):
+        calls.append(action)
+        return gridworld.step(state, action)
+
+    monkeypatch.setattr(ppo, "step", counting_step)
+    return calls
 
 
 class TestCollectRollout:
@@ -205,7 +229,9 @@ class TestLearnEpoch:
 class TestTestAgent:
     def test_scripted_forward_walker(self):
         level = parse_ascii(CORRIDOR_GOAL_3, max_steps=100).level
-        reward = ppo.test_agent(_always_forward_params(), level)
+        params = _always_forward_params()
+        reward = ppo.test_agent(params, level)
+        assert reward == full_greedy_episode(params, level)
         assert reward == 1.0 - 0.9 * (3 / 100)
         assert abs(reward - 0.973) < 1e-12
 
@@ -220,6 +246,39 @@ class TestTestAgent:
         params = init_params(1)
         level = generate_level(3)
         assert ppo.test_agent(params, level) == ppo.test_agent(params, level)
+
+    @pytest.mark.parametrize(
+        "size, max_steps, n_levels", [(9, 100, 30), (19, 300, 10)]
+    )
+    def test_matches_full_episode(self, size, max_steps, n_levels):
+        grid = GridConfig(width=size, height=size, max_steps=max_steps)
+        levels = [generate_level(seed, grid) for seed in range(n_levels)]
+        for seed in range(4):
+            params = init_params(seed)
+            for level in levels:
+                expected = full_greedy_episode(params, level)
+                assert ppo.test_agent(params, level) == expected
+
+    def test_forward_walker_stops_at_first_bump(self, step_calls):
+        params = _always_forward_params()
+        for seed in range(30):
+            level = generate_level(seed)
+            # Straight ahead into the first wall; the bump is the last step.
+            (x, y), (dx, dy) = level.start_pos, DIR_VECTORS[level.start_dir]
+            expected_steps = 1
+            while (x + dx, y + dy) not in level.walls:
+                x, y = x + dx, y + dy
+                expected_steps += 1
+            step_calls.clear()
+            assert ppo.test_agent(params, level) == 0.0
+            assert full_greedy_episode(params, level) == 0.0
+            assert len(step_calls) == expected_steps
+
+    def test_stops_at_first_repeated_state(self, step_calls):
+        # Four left turns bring the agent back to its start pose.
+        reward = ppo.test_agent(_always_params(Action.TURN_LEFT), generate_level(0))
+        assert reward == 0.0
+        assert step_calls == [Action.TURN_LEFT] * 4
 
 
 @pytest.mark.slow
