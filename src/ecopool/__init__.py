@@ -41,7 +41,6 @@ from .harness import (
     export_metrics,
     load_config,
     load_metrics,
-    run_experiment,
     run_suite,
 )
 from .policy import PolicyParams, forward, init_params, sample_action
@@ -84,7 +83,6 @@ __all__ = [
     "ppo_update",
     "render_ascii",
     "reset",
-    "run_experiment",
     "run_suite",
     "sample_action",
     "save_pool",

@@ -255,11 +255,6 @@ def execute_run(
     return RunResult(records=records, pool=pool, audit=audit, outcomes=outcomes)
 
 
-def run_experiment(cfg: ExperimentConfig, run_seed: int) -> list[MetricsRecord]:
-    """Checkpoint records of one run (see execute_run for the full result)."""
-    return execute_run(cfg, run_seed).records
-
-
 def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
     """Run one experiment, streaming partial results to disk as they appear.
 

@@ -6,8 +6,14 @@ architecture is 147-64-64 with a 3-way actor head and a 1-unit critic
 head; smaller nets can be built for tests via `init_params` arguments.
 
 Gradients of the clipped-surrogate loss are derived by hand for this
-fixed architecture; there is no autodiff.  All functions are pure:
-parameters are never mutated, updates return fresh arrays.
+fixed architecture; there is no autodiff.
+
+All weights of an agent live in one float64 vector, `PolicyParams.flat`;
+its `actor` and `critic` layers are (W, b) views into that vector, so a
+copy, an equality test or a running mean is one vector operation.
+Gradients use the same layout, and Adam keeps its two moment vectors in
+it and updates them in place.  Parameters are never mutated: training
+steps return fresh vectors.
 
 An action distribution is represented as a plain probability vector
 (each entry in (0,1), summing to 1).
@@ -30,38 +36,66 @@ N_ACTIONS = 3
 Layer = tuple[np.ndarray, np.ndarray]
 
 
-def _stack_equal(a: tuple[Layer, ...], b: tuple[Layer, ...]) -> bool:
-    if len(a) != len(b):
-        return False
-    for (wa, ba), (wb, bb) in zip(a, b):
-        if wa.shape != wb.shape or not np.array_equal(wa, wb):
-            return False
-        if not np.array_equal(ba, bb):
-            return False
-    return True
+def _head_views(
+    flat: np.ndarray, widths: tuple[int, ...], offset: int
+) -> tuple[tuple[Layer, ...], int]:
+    layers = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        w = flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        layers.append((w, flat[offset : offset + fan_out]))
+        offset += fan_out
+    return tuple(layers), offset
 
 
-@dataclass(frozen=True, eq=False)
 class PolicyParams:
-    """Actor and critic weights; equality is exact value comparison."""
+    """Actor and critic weights packed into one vector.
 
-    actor: tuple[Layer, ...]
-    critic: tuple[Layer, ...]
+    `flat` holds every layer in order (actor then critic, W row-major then
+    b); `widths` names the layout as the layer widths of each head, e.g.
+    ((147, 64, 64, 3), (147, 64, 64, 1)).  `actor` and `critic` are tuples
+    of (W, b) views into `flat`, built once per instance.  Equality is
+    exact value comparison.
+    """
+
+    __slots__ = ("flat", "widths", "actor", "critic")
+
+    def __init__(self, actor: tuple[Layer, ...], critic: tuple[Layer, ...]):
+        """Pack the given layers (copied) into a new vector."""
+        widths = tuple(
+            (head[0][0].shape[0], *(w.shape[1] for w, _ in head))
+            for head in (actor, critic)
+        )
+        flat = np.concatenate(
+            [np.ravel(a) for layer in (*actor, *critic) for a in layer],
+            dtype=np.float64,
+        )
+        self._bind(flat, widths)
+
+    @classmethod
+    def from_flat(
+        cls, flat: np.ndarray, widths: tuple[tuple[int, ...], tuple[int, ...]]
+    ) -> PolicyParams:
+        """Wrap `flat` (not copied) in the layout `widths`."""
+        params = cls.__new__(cls)
+        params._bind(flat, widths)
+        return params
+
+    def _bind(self, flat: np.ndarray, widths) -> None:
+        self.flat = flat
+        self.widths = widths
+        self.actor, offset = _head_views(flat, widths[0], 0)
+        self.critic, _ = _head_views(flat, widths[1], offset)
+
+    def __reduce__(self):
+        # Copies and pickles carry the vector once and rebuild the views on
+        # it; copying the views as arrays would detach them from `flat`.
+        return (PolicyParams.from_flat, (self.flat, self.widths))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolicyParams):
             return NotImplemented
-        return _stack_equal(self.actor, other.actor) and _stack_equal(
-            self.critic, other.critic
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class Gradients:
-    """Partial derivatives of a scalar loss, shape-congruent with PolicyParams."""
-
-    actor: tuple[Layer, ...]
-    critic: tuple[Layer, ...]
+        return self.widths == other.widths and np.array_equal(self.flat, other.flat)
 
 
 @dataclass(frozen=True)
@@ -133,17 +167,19 @@ def _mlp_forward(layers: tuple[Layer, ...], x: np.ndarray) -> list[np.ndarray]:
 
 
 def _mlp_backward(
-    layers: tuple[Layer, ...], acts: list[np.ndarray], d_out: np.ndarray
-) -> tuple[Layer, ...]:
-    """Backprop d(loss)/d(final output) through the layer stack."""
-    grads: list[Layer] = [None] * len(layers)  # type: ignore[list-item]
+    layers: tuple[Layer, ...],
+    acts: list[np.ndarray],
+    d_out: np.ndarray,
+    grads: tuple[Layer, ...],
+) -> None:
+    """Backprop d(loss)/d(final output) through the layer stack into `grads`."""
     d = d_out
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        grads[i] = (acts[i].T @ d, d.sum(axis=0))
+        gw, gb = grads[i]
+        np.matmul(acts[i].T, d, out=gw)
+        d.sum(axis=0, out=gb)
         if i > 0:
-            d = (d @ w.T) * (1.0 - acts[i] ** 2)
-    return tuple(grads)
+            d = (d @ layers[i][0].T) * (1.0 - acts[i] ** 2)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -175,12 +211,13 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> Action:
 
 def grad_loss(
     params: PolicyParams, batch: Minibatch, spec: LossSpec
-) -> tuple[float, Gradients]:
+) -> tuple[float, PolicyParams]:
     """Loss and exact gradients of -L_clip + c_v*VL - c_e*H on one minibatch.
 
     L_clip = mean(min(r*A, clip(r, 1-eps, 1+eps)*A)) with r = exp(logp - old_logp),
     VL = mean((V - returns)^2), H = mean entropy of the action distribution.
-    Backprop runs through the softmax and tanh chains analytically.
+    Backprop runs through the softmax and tanh chains analytically; the
+    gradients come back in the layout of `params`.
     """
     x = batch.obs
     n = x.shape[0]
@@ -222,18 +259,15 @@ def grad_loss(
     )
     d_value = (2.0 * spec.value_coef / n) * v_err[:, None]
 
-    return float(loss), Gradients(
-        actor=_mlp_backward(params.actor, acts_a, d_logits),
-        critic=_mlp_backward(params.critic, acts_c, d_value),
-    )
+    grads = PolicyParams.from_flat(np.empty_like(params.flat), params.widths)
+    _mlp_backward(params.actor, acts_a, d_logits, grads.actor)
+    _mlp_backward(params.critic, acts_c, d_value, grads.critic)
+    return float(loss), grads
 
 
 def clone_params(src: PolicyParams) -> PolicyParams:
     """Deep, independent copy; mutating either side never affects the other."""
-    return PolicyParams(
-        actor=tuple((w.copy(), b.copy()) for w, b in src.actor),
-        critic=tuple((w.copy(), b.copy()) for w, b in src.critic),
-    )
+    return PolicyParams.from_flat(src.flat.copy(), src.widths)
 
 
 def running_mean_params(
@@ -241,31 +275,24 @@ def running_mean_params(
 ) -> PolicyParams:
     """Fold the n-th sample into a mean of n-1: mean + (sample - mean) / n.
 
-    Applied layer by layer; n == 1 returns an exact copy of `sample`.
+    n == 1 returns an exact copy of `sample`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return clone_params(sample)
-
-    def fold(m: tuple[Layer, ...], s: tuple[Layer, ...]) -> tuple[Layer, ...]:
-        return tuple(
-            (mw + (sw - mw) / n, mb + (sb - mb) / n)
-            for (mw, mb), (sw, sb) in zip(m, s)
-        )
-
-    return PolicyParams(
-        actor=fold(mean.actor, sample.actor), critic=fold(mean.critic, sample.critic)
+    return PolicyParams.from_flat(
+        mean.flat + (sample.flat - mean.flat) / n, mean.widths
     )
 
 
 class Adam:
-    """Adaptive moment estimation over a PolicyParams structure.
+    """Adaptive moment estimation over a PolicyParams vector.
 
-    Holds first/second moment accumulators and the step counter; the
-    parameter arrays themselves are never mutated, `step` returns a new
-    PolicyParams.  Every new agent gets a fresh instance (moments do not
-    travel with copied weights).
+    Holds the first/second moment vectors, updated in place, and the step
+    counter; the parameters themselves are never mutated, `step` returns
+    a new PolicyParams.  Every new agent gets a fresh instance (moments do
+    not travel with copied weights).
     """
 
     def __init__(
@@ -281,74 +308,50 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = _zeros_like_params(params)
-        self._v = _zeros_like_params(params)
+        self._m = np.zeros_like(params.flat)
+        self._v = np.zeros_like(params.flat)
 
-    def step(self, params: PolicyParams, grads: Gradients) -> PolicyParams:
+    def step(self, params: PolicyParams, grads: PolicyParams) -> PolicyParams:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        heads = {}
-        for name in ("actor", "critic"):
-            new_layers = []
-            for i, ((w, b), (gw, gb)) in enumerate(
-                zip(getattr(params, name), getattr(grads, name))
-            ):
-                mw, mb = self._m[name][i]
-                vw, vb = self._v[name][i]
-                mw = self.beta1 * mw + (1 - self.beta1) * gw
-                mb = self.beta1 * mb + (1 - self.beta1) * gb
-                vw = self.beta2 * vw + (1 - self.beta2) * gw**2
-                vb = self.beta2 * vb + (1 - self.beta2) * gb**2
-                self._m[name][i] = (mw, mb)
-                self._v[name][i] = (vw, vb)
-                new_w = w - self.lr * (mw / bc1) / (np.sqrt(vw / bc2) + self.eps)
-                new_b = b - self.lr * (mb / bc1) / (np.sqrt(vb / bc2) + self.eps)
-                new_layers.append((new_w, new_b))
-            heads[name] = tuple(new_layers)
-        return PolicyParams(actor=heads["actor"], critic=heads["critic"])
-
-
-def _zeros_like_params(params: PolicyParams) -> dict[str, list[Layer]]:
-    return {
-        name: [
-            (np.zeros_like(w), np.zeros_like(b)) for w, b in getattr(params, name)
-        ]
-        for name in ("actor", "critic")
-    }
+        g = grads.flat
+        self._m *= self.beta1
+        self._m += (1 - self.beta1) * g
+        self._v *= self.beta2
+        self._v += (1 - self.beta2) * g**2
+        # This operation order is part of the results: an algebraically
+        # equal form, such as folding lr into bc1, changes the last bits.
+        update = self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)
+        return PolicyParams.from_flat(params.flat - update, params.widths)
 
 
 def params_to_json(params: PolicyParams) -> dict:
     """Versioned JSON layout: header plus layer-ordered row-major weights."""
-    in_dims = [w.shape[0] for w, _ in params.actor]
+    actor_widths, critic_widths = params.widths
     return {
         "version": 1,
-        "arch": in_dims,
-        "heads": {
-            "actor": params.actor[-1][0].shape[1],
-            "critic": params.critic[-1][0].shape[1],
-        },
+        "arch": list(actor_widths[:-1]),
+        "heads": {"actor": actor_widths[-1], "critic": critic_widths[-1]},
         "actor": [[w.tolist(), b.tolist()] for w, b in params.actor],
         "critic": [[w.tolist(), b.tolist()] for w, b in params.critic],
     }
 
 
 def params_from_json(data: dict) -> PolicyParams:
+    """Inverse of `params_to_json`.  ValueError unless every stored array
+    has the shape that the header's `arch` and `heads` name."""
     if data.get("version") != 1:
         raise ValueError(f"unsupported params version {data.get('version')!r}")
-
-    def build(entries) -> tuple[Layer, ...]:
-        return tuple(
+    heads = {}
+    for name in ("actor", "critic"):
+        widths = (*data["arch"], data["heads"][name])
+        layers = tuple(
             (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
-            for w, b in entries
+            for w, b in data[name]
         )
-
-    params = PolicyParams(actor=build(data["actor"]), critic=build(data["critic"]))
-    arch = [w.shape[0] for w, _ in params.actor]
-    heads = {
-        "actor": params.actor[-1][0].shape[1],
-        "critic": params.critic[-1][0].shape[1],
-    }
-    if arch != list(data["arch"]) or heads != dict(data["heads"]):
-        raise ValueError("params header disagrees with stored layer shapes")
-    return params
+        expected = [((i, o), (o,)) for i, o in zip(widths, widths[1:])]
+        if [(w.shape, b.shape) for w, b in layers] != expected:
+            raise ValueError(f"stored {name} layers disagree with the params header")
+        heads[name] = layers
+    return PolicyParams(**heads)

@@ -153,3 +153,50 @@ def full_greedy_episode(params: PolicyParams, level: Level) -> float:
         state, obs, reward, _ = step(state, Action(int(np.argmax(probs))))
         total += reward
     return total
+
+
+def layerwise_adam(
+    params: PolicyParams,
+    grad_fn,
+    n_steps: int,
+    lr: float = 3e-4,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> list[PolicyParams]:
+    """Adam as a loop over layers, each weight, bias and moment its own
+    array.  `grad_fn(params)` gives the gradients of each step; returns the
+    parameters after every step."""
+    def zeros():
+        return {
+            name: [(np.zeros_like(w), np.zeros_like(b)) for w, b in getattr(params, name)]
+            for name in ("actor", "critic")
+        }
+
+    m, v = zeros(), zeros()
+    history = []
+    for t in range(1, n_steps + 1):
+        grads = grad_fn(params)
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        heads = {}
+        for name in ("actor", "critic"):
+            new_layers = []
+            for i, ((w, b), (gw, gb)) in enumerate(
+                zip(getattr(params, name), getattr(grads, name))
+            ):
+                mw, mb = m[name][i]
+                vw, vb = v[name][i]
+                mw = beta1 * mw + (1 - beta1) * gw
+                mb = beta1 * mb + (1 - beta1) * gb
+                vw = beta2 * vw + (1 - beta2) * gw**2
+                vb = beta2 * vb + (1 - beta2) * gb**2
+                m[name][i] = (mw, mb)
+                v[name][i] = (vw, vb)
+                new_w = w - lr * (mw / bc1) / (np.sqrt(vw / bc2) + eps)
+                new_b = b - lr * (mb / bc1) / (np.sqrt(vb / bc2) + eps)
+                new_layers.append((new_w, new_b))
+            heads[name] = tuple(new_layers)
+        params = PolicyParams(actor=heads["actor"], critic=heads["critic"])
+        history.append(params)
+    return history

@@ -1,6 +1,7 @@
 """CLI: subcommands, exit codes, output layout."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from ecopool.ecosystem import Strategy
 from ecopool.gridworld import generate_level, level_from_json
 from ecopool.harness import ExperimentConfig, config_to_json, load_metrics
 
+from test_acceptance import GRID, TINY_PPO
 from test_harness import _fake_learn
 
 
@@ -250,3 +252,38 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert level_from_json(json.loads(proc.stdout)) == generate_level(3)
+
+
+def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # Criterion 1's small config, run once per BLAS thread count.
+    cfg = ExperimentConfig(
+        strategy=Strategy.BASIC,
+        n_train_envs=10,
+        eval_every=5,
+        n_eval_envs=5,
+        train_seed_base=0,
+        eval_seed_base=1_000_000,
+        n_runs=1,
+        budget=200,
+        ppo=TINY_PPO,
+        grid=GRID,
+    )
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas_{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "ecopool", "run", "--config", str(cfg_path),
+             "--out", str(out)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            check=True,
+        )
+        run_dir = out / "run_00"
+        files = ["metrics.csv", "audit.jsonl"] + sorted(
+            str(f.relative_to(run_dir)) for f in run_dir.glob("pool/*.params.json")
+        )
+        outputs.append({name: (run_dir / name).read_bytes() for name in files})
+    assert len(outputs[0]) > 2
+    assert outputs[0] == outputs[1]

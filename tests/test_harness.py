@@ -25,11 +25,11 @@ from ecopool.harness import (
     compare_suite,
     config_from_json,
     config_to_json,
+    execute_run,
     export_aggregate,
     export_metrics,
     load_config,
     load_metrics,
-    run_experiment,
     run_suite,
     run_to_dir,
     write_metric_charts,
@@ -293,7 +293,7 @@ def _cadence_cfg(**overrides):
 def test_run_record_cadence(monkeypatch):
     monkeypatch.setattr(harness, "ecosystem_learn", _fake_learn())
     monkeypatch.setattr(harness, "test_agent", lambda params, level: 0.5)
-    records = run_experiment(_cadence_cfg(), run_seed=0)
+    records = execute_run(_cadence_cfg(), run_seed=0).records
     assert len(records) == 2
     assert [r.envs_seen for r in records] == [50, 100]
 
@@ -306,7 +306,7 @@ def test_run_counter_conservation(monkeypatch):
         _fake_learn(steps_per_env=7, tests_per_env=3, fail_envs=fail_envs),
     )
     monkeypatch.setattr(harness, "test_agent", lambda params, level: 0.5)
-    records = run_experiment(_cadence_cfg(eval_every=25), run_seed=0)
+    records = execute_run(_cadence_cfg(eval_every=25), run_seed=0).records
     assert [r.envs_seen for r in records] == [25, 50, 75, 100]
     for r in records:
         assert r.cum_steps == 7 * r.envs_seen
@@ -345,13 +345,13 @@ def test_real_run_shape(tiny_run):
 
 def test_real_run_is_deterministic(tiny_run):
     cfg, result, _ = tiny_run
-    again = run_experiment(cfg, 0)
+    again = execute_run(cfg, 0).records
     assert again == result.records
 
 
 def test_run_seed_changes_outcome(tiny_run):
     cfg, result, _ = tiny_run
-    other = run_experiment(cfg, 1)
+    other = execute_run(cfg, 1).records
     assert [r.envs_seen for r in other] == [r.envs_seen for r in result.records]
     assert other != result.records
 

@@ -1,7 +1,9 @@
 """Network forward pass, manual gradients, cloning, and serialization."""
 
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ import pytest
 from ecopool.gridworld import Action, generate_level, observe, reset
 from ecopool.policy import (
     Adam,
-    Gradients,
     LossSpec,
     Minibatch,
     PolicyParams,
@@ -23,7 +24,8 @@ from ecopool.policy import (
     running_mean_params,
     sample_action,
 )
-from oracles import fd_gradients, max_rel_error, random_grad_case
+from ecopool.ppo import collect_rollout, compute_gae
+from oracles import fd_gradients, layerwise_adam, max_rel_error, random_grad_case
 
 
 def _zero_params(obs_dim=147, hidden=(64, 64), n_actions=3) -> PolicyParams:
@@ -197,7 +199,7 @@ class TestGradLoss:
         rng = np.random.default_rng(2)
         params, batch = random_grad_case(rng, spec)
         _, grads = grad_loss(params, batch, spec)
-        assert isinstance(grads, Gradients)
+        assert isinstance(grads, PolicyParams)
         for head in ("actor", "critic"):
             for (w, b), (gw, gb) in zip(getattr(params, head), getattr(grads, head)):
                 assert gw.shape == w.shape and gb.shape == b.shape
@@ -220,6 +222,23 @@ class TestClone:
     def test_double_clone(self):
         params = init_params(11)
         assert clone_params(clone_params(params)) == params
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copy_keeps_one_vector(self, duplicate):
+        params = init_params(0)
+        q = duplicate(params)
+        assert q == params
+        q.actor[0][0][0, 0] += 1.0
+        assert q != params
+        assert params == init_params(0)
+
+    def test_pickle_carries_the_vector_once(self):
+        params = init_params(0)
+        assert len(pickle.dumps(params)) < 1.1 * params.flat.nbytes
 
 
 class TestRunningMean:
@@ -263,6 +282,28 @@ class TestAdam:
         assert opt.t == 2
         assert p2 != p1
 
+    def test_matches_layerwise_reference(self):
+        spec = LossSpec()
+        params = init_params(0)
+        traj = collect_rollout(params, generate_level(4), 64, np.random.default_rng(4))
+        advantages, returns = compute_gae(traj, 0.99, 0.95)
+        batch = Minibatch(
+            obs=traj.obs,
+            actions=traj.actions,
+            old_logp=traj.logp,
+            advantages=advantages,
+            returns=returns,
+        )
+
+        def grad_fn(p):
+            return grad_loss(p, batch, spec)[1]
+
+        expected = layerwise_adam(params, grad_fn, 50, lr=1e-3)
+        opt = Adam(params, lr=1e-3)
+        for want in expected:
+            params = opt.step(params, grad_fn(params))
+            assert params == want
+
 
 class TestSerialization:
     def test_json_roundtrip_exact(self):
@@ -279,6 +320,18 @@ class TestSerialization:
     def test_bad_version_rejected(self):
         data = params_to_json(init_params(0))
         data["version"] = 2
+        with pytest.raises(ValueError):
+            params_from_json(data)
+
+    def test_bias_of_wrong_length_rejected(self):
+        data = params_to_json(init_params(0))
+        data["actor"][0][1] = [0.0]
+        with pytest.raises(ValueError):
+            params_from_json(data)
+
+    def test_critic_layers_that_do_not_chain_rejected(self):
+        data = params_to_json(init_params(0))
+        data["critic"][0] = [np.zeros((147, 32)).tolist(), [0.0] * 32]
         with pytest.raises(ValueError):
             params_from_json(data)
 
