@@ -158,21 +158,20 @@ def initialize_agent(
 ) -> Agent:
     """New agent with weights chosen by the pool's strategy.
 
-    Degenerate cases (no pool agent to copy from) fall back to fresh
-    random weights and are logged.
+    Forked copies the pool's main agent, which `make_pool` and `load_pool`
+    always provide.  Random and best with no pool agent to copy from fall
+    back to fresh random weights, and the fallback is logged.
     """
     strategy = pool.strategy
     params = None
-    if strategy is Strategy.RANDOM and pool.agents:
+    if strategy is Strategy.FORKED:
+        params = clone_params(pool.main_agent)
+    elif strategy is Strategy.RANDOM and pool.agents:
         source = pool.agents[int(rng.integers(len(pool.agents)))]
         params = clone_params(source.params)
     elif strategy is Strategy.BEST and best_id is not None:
         source = next(a for a in pool.agents if a.id == best_id)
         params = clone_params(source.params)
-    elif strategy is Strategy.FORKED:
-        if pool.main_agent is None:
-            pool.main_agent = init_params(int(rng.integers(2**63)))
-        params = clone_params(pool.main_agent)
     elif strategy in (Strategy.RANDOM, Strategy.BEST):
         logger.info(
             "strategy %s has no copy source yet, falling back to fresh weights",
@@ -205,43 +204,22 @@ def train_until_solved(
     if rng is None:
         rng = np.random.default_rng(0)
 
-    reward = test_agent(agent.params, level)
-    tests = 1
-    if reward >= threshold:
-        return TrainResult(
-            agent=agent,
-            epochs_used=0,
-            steps_used=0,
-            failed=False,
-            final_reward=reward,
-            tests_run=tests,
-        )
-
     params = agent.params
     opt = Adam(params, lr=cfg.lr)
-    for epoch in range(1, budget + 1):
+    reward = test_agent(params, level)
+    epochs = 0
+    while reward < threshold and epochs < budget:
         params, _ = learn_epoch(params, level, cfg, rng, opt=opt)
         reward = test_agent(params, level)
-        tests += 1
-        if reward >= threshold:
-            agent.params = params
-            return TrainResult(
-                agent=agent,
-                epochs_used=epoch,
-                steps_used=epoch * cfg.rollout_steps,
-                failed=False,
-                final_reward=reward,
-                tests_run=tests,
-            )
-
+        epochs += 1
     agent.params = params
     return TrainResult(
         agent=agent,
-        epochs_used=budget,
-        steps_used=budget * cfg.rollout_steps,
-        failed=True,
+        epochs_used=epochs,
+        steps_used=epochs * cfg.rollout_steps,
+        failed=reward < threshold,
         final_reward=reward,
-        tests_run=tests,
+        tests_run=epochs + 1,
     )
 
 
@@ -259,6 +237,8 @@ def optimize_pool(pool: Pool, new_agent: Agent, audit: list | None = None) -> Po
     whose entire solved-set the new agent now covers are removed.  The
     pool is re-sorted afterwards.
     """
+    if audit is None:
+        audit = []
     for other in list(pool.agents):
         if other.id == new_agent.id:
             continue
@@ -269,21 +249,12 @@ def optimize_pool(pool: Pool, new_agent: Agent, audit: list | None = None) -> Po
             pool.tests_total += 1
             if reward >= pool.threshold:
                 new_agent.solved.append(seed)
-                if audit is not None:
-                    audit.append(
-                        {
-                            "event": "absorb",
-                            "env": seed,
-                            "agent": new_agent.id,
-                            "reward": reward,
-                        }
-                    )
+                audit.append(
+                    dict(event="absorb", env=seed, agent=new_agent.id, reward=reward)
+                )
         if set(other.solved) <= set(new_agent.solved):
             pool.agents.remove(other)
-            if audit is not None:
-                audit.append(
-                    {"event": "remove", "agent": other.id, "covered_by": new_agent.id}
-                )
+            audit.append(dict(event="remove", agent=other.id, covered_by=new_agent.id))
     return sort_pool(pool)
 
 
@@ -299,11 +270,14 @@ def ecosystem_learn(
 
     Credits an existing solver when the scan finds one; otherwise creates,
     trains, and inserts a new agent (with optimization pass), or records a
-    failure if the budget runs out.  Under the forked strategy the main
-    agent absorbs each successful new agent's trained weights as a running
-    mean: after the n-th such fork, main <- main + (trained - main) / n,
-    layer by layer, so the main agent is the mean of every trained fork
-    (the first fork is copied exactly).  Failed forks are not absorbed.
+    failure if the budget runs out.  Either way one audit event records
+    the level ("credit", "solved" or "failed"), ahead of any absorb and
+    remove events of the optimization pass.  Under the forked strategy
+    the main agent absorbs each successful new agent's trained weights as
+    a running mean: after the n-th such fork, main <- main + (trained -
+    main) / n, one expression over the flat parameter vector, so the main
+    agent is the mean of every trained fork (the first fork is copied
+    exactly).  Failed forks are not absorbed.
     """
     if (level.width, level.height, level.max_steps) != (
         pool.grid.width,
@@ -311,95 +285,53 @@ def ecosystem_learn(
         pool.grid.max_steps,
     ):
         raise ValueError("level geometry does not match the pool's grid config")
+    if audit is None:
+        audit = []
 
     tests_before = pool.tests_total
     found = find_best_agent(pool, level)
     pool.tests_total += found.tests_run
-
-    if found.solver is not None:
-        solver = next(a for a in pool.agents if a.id == found.solver)
-        if level.seed not in solver.solved:
-            solver.solved.append(level.seed)
-        if audit is not None:
-            audit.append(
-                {
-                    "event": "credit",
-                    "env": level.seed,
-                    "agent": solver.id,
-                    "reward": found.solver_reward,
-                }
-            )
-        sort_pool(pool)
-        return pool, EnvOutcome(
-            level_seed=level.seed,
-            solved_by=solver.id,
-            created_new=False,
-            training_steps_used=0,
-            epochs_used=0,
-            failed=False,
-            tests_run=pool.tests_total - tests_before,
-            credit_reward=found.solver_reward,
+    created_new = found.solver is None
+    if created_new:
+        agent = initialize_agent(pool, found.best_id, pool.rng)
+        agent.birth_env = level.seed
+        result = train_until_solved(
+            agent, level, cfg, budget=budget, threshold=pool.threshold, rng=pool.rng
         )
-
-    agent = initialize_agent(pool, found.best_id, pool.rng)
-    agent.birth_env = level.seed
-    result = train_until_solved(
-        agent, level, cfg, budget=budget, threshold=pool.threshold, rng=pool.rng
-    )
-    pool.tests_total += result.tests_run
-
-    if result.failed:
-        if audit is not None:
-            audit.append(
-                {
-                    "event": "failed",
-                    "env": level.seed,
-                    "agent": agent.id,
-                    "reward": result.final_reward,
-                }
-            )
-        return pool, EnvOutcome(
-            level_seed=level.seed,
-            solved_by=None,
-            created_new=True,
-            training_steps_used=result.steps_used,
-            epochs_used=result.epochs_used,
-            failed=True,
-            tests_run=pool.tests_total - tests_before,
-            credit_reward=None,
-        )
-
-    agent = result.agent
-    agent.solved.append(level.seed)
-    if audit is not None:
-        audit.append(
-            {
-                "event": "solved",
-                "env": level.seed,
-                "agent": agent.id,
-                "reward": result.final_reward,
-            }
-        )
-    pool.agents.append(agent)
-    if optimize:
-        optimize_pool(pool, agent, audit=audit)
+        pool.tests_total += result.tests_run
+        agent, reward, failed = result.agent, result.final_reward, result.failed
+        epochs, steps = result.epochs_used, result.steps_used
+        event = "failed" if failed else "solved"
     else:
-        sort_pool(pool)
-    if pool.strategy is Strategy.FORKED:
-        pool.forks_absorbed += 1
-        pool.main_agent = running_mean_params(
-            pool.main_agent, agent.params, pool.forks_absorbed
-        )
+        agent = next(a for a in pool.agents if a.id == found.solver)
+        reward, failed, epochs, steps = found.solver_reward, False, 0, 0
+        event = "credit"
+    audit.append(dict(event=event, env=level.seed, agent=agent.id, reward=reward))
+
+    if not failed:
+        if level.seed not in agent.solved:
+            agent.solved.append(level.seed)
+        if created_new:
+            pool.agents.append(agent)
+        if created_new and optimize:
+            optimize_pool(pool, agent, audit=audit)
+        else:
+            sort_pool(pool)
+        if created_new and pool.strategy is Strategy.FORKED:
+            pool.forks_absorbed += 1
+            pool.main_agent = running_mean_params(
+                pool.main_agent, agent.params, pool.forks_absorbed
+            )
 
     return pool, EnvOutcome(
         level_seed=level.seed,
-        solved_by=agent.id,
-        created_new=True,
-        training_steps_used=result.steps_used,
-        epochs_used=result.epochs_used,
-        failed=False,
+        solved_by=None if failed else agent.id,
+        created_new=created_new,
+        training_steps_used=steps,
+        epochs_used=epochs,
+        failed=failed,
         tests_run=pool.tests_total - tests_before,
-        credit_reward=result.final_reward,
+        credit_reward=None if failed else reward,
     )
 
 
@@ -476,4 +408,6 @@ def load_pool(in_dir, seed: int = 0) -> Pool:
         pool.main_agent = params_from_json(
             json.loads((src / manifest["main_agent_ref"]).read_text())
         )
+    if pool.strategy is Strategy.FORKED and pool.main_agent is None:
+        raise ValueError("forked pool checkpoint has no main agent")
     return pool

@@ -101,11 +101,14 @@ def config_from_json(data: dict) -> ExperimentConfig:
     for key in data:
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
+    if "strategy" not in data:
+        raise ValueError("missing config key 'strategy'")
     kwargs = dict(data)
-    if "strategy" in kwargs:
-        kwargs["strategy"] = Strategy(kwargs["strategy"])
+    kwargs["strategy"] = Strategy(kwargs["strategy"])
     for section, cls in (("grid", GridConfig), ("ppo", PpoConfig)):
-        if section in kwargs and isinstance(kwargs[section], dict):
+        if section in kwargs:
+            if not isinstance(kwargs[section], dict):
+                raise ValueError(f"config key {section!r} must be an object")
             allowed = {f.name for f in fields(cls)}
             for key in kwargs[section]:
                 if key not in allowed:
@@ -443,6 +446,9 @@ def compare_suite(
     """
     if len(strategies) < 2:
         raise ValueError("compare needs at least 2 strategies")
+    repeated = sorted({s.value for s in strategies if strategies.count(s) > 1})
+    if repeated:
+        raise ValueError(f"strategy given more than once: {', '.join(repeated)}")
     out = Path(out_dir)
     tasks = []
     for strategy in strategies:

@@ -93,6 +93,33 @@ def test_overlapping_seed_ranges_exit_2(tmp_path, capsys):
     assert "seed ranges overlap" in capsys.readouterr().err
 
 
+def test_config_without_strategy_exit_2(tmp_path, capsys):
+    data = config_to_json(ExperimentConfig(strategy=Strategy.BASIC))
+    del data["strategy"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "x"
+    rc = cli.main(
+        ["run", "--config", str(cfg_path), "--strategy", "basic", "--out", str(out)]
+    )
+    assert rc == 2
+    assert "'strategy'" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["show-env", "3", "--config", str(cfg_path)]) == 2
+    assert "'strategy'" in capsys.readouterr().err
+
+
+def test_grid_as_list_exit_2(tmp_path, capsys):
+    data = config_to_json(ExperimentConfig(strategy=Strategy.BASIC))
+    data["grid"] = [9, 9, 100]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "x"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "'grid'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flag_overrides_are_validated(tmp_path, capsys):
     rc = cli.main(
         ["run", "--strategy", "basic", "--envs", "100", "--eval-every", "30",
@@ -197,6 +224,21 @@ def test_compare_needs_two_strategies(tmp_path, capsys):
     )
     assert rc == 2
     assert "at least 2" in capsys.readouterr().err
+
+
+def test_compare_repeated_strategy_exit_2(tmp_path, capsys, monkeypatch):
+    def no_runs(tasks, jobs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "_run_tasks", no_runs)
+    out = tmp_path / "c"
+    rc = cli.main(
+        ["compare", "--strategy", "basic", "--strategy", "forked",
+         "--strategy", "basic", "--out", str(out)]
+    )
+    assert rc == 2
+    assert "more than once: basic" in capsys.readouterr().err
+    assert not (out / "basic").exists()
 
 
 # ---------------------------------------------------------------- inspect / export

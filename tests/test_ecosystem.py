@@ -401,6 +401,26 @@ class TestEcosystemLearn:
         assert len(pool.agents) == 0
         assert audit[-1]["event"] == "failed"
 
+    def test_without_optimization_pass(self, monkeypatch):
+        # The new agent would pass every seed the pool agents hold, so an
+        # optimization pass would absorb them and remove both agents.
+        level = generate_level(60)
+        pool, table = _pool_with_agents(
+            Strategy.BASIC, [{60: 0.1}, {60: 0.1}], solved=[[10], [11, 12]]
+        )
+        monkeypatch.setattr(ecosystem, "test_agent", _scripted(table, default=0.9))
+        audit = []
+        pool, outcome = ecosystem_learn(
+            pool, level, FAST_CFG, optimize=False, audit=audit
+        )
+        new_agent = next(a for a in pool.agents if a.id == 2)
+        assert new_agent.solved == [60]
+        assert [e["event"] for e in audit] == ["solved"]
+        assert [a.id for a in pool.agents] == [1, 0, 2]  # all kept, re-sorted
+        _assert_sorted(pool)
+        assert outcome.tests_run == 3  # two scan tests, one entry test
+        assert pool.tests_total == 3
+
     def test_grid_mismatch_rejected(self):
         pool = make_pool(Strategy.BASIC, grid=GridConfig(width=9, height=9))
         level = generate_level(0, GridConfig(width=11, height=11))
@@ -482,6 +502,16 @@ class TestCheckpoint:
         loaded = load_pool(tmp_path)
         assert loaded.main_agent == pool.main_agent
         assert loaded.forks_absorbed == 0
+
+    def test_forked_without_main_agent_rejected(self, tmp_path):
+        import json
+
+        save_pool(make_pool(Strategy.FORKED), tmp_path)
+        manifest = json.loads((tmp_path / "pool.json").read_text())
+        manifest["main_agent_ref"] = None
+        (tmp_path / "pool.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="main agent"):
+            load_pool(tmp_path)
 
     def test_bad_version_rejected(self, tmp_path):
         import json
