@@ -23,6 +23,7 @@ from .gridworld import GridConfig, generate_level, level_to_json, render_ascii, 
 from .harness import (
     METRICS_COLUMNS,
     ExperimentConfig,
+    check_strategies,
     compare_suite,
     config_to_json,
     export_metrics,
@@ -164,8 +165,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     strategies = [Strategy(s) for s in args.strategies or []]
-    if len(strategies) < 2:
-        raise ValueError("compare needs at least 2 strategies (repeat --strategy)")
+    check_strategies(strategies)
     cfg = _resolve_config(args, strategies[0])
     name = "compare-" + "-".join(s.value for s in strategies)
     out = _resolve_out(args, cfg, name)

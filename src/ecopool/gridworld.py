@@ -270,12 +270,18 @@ def observe(state: EnvState) -> np.ndarray:
     The agent sits at the center of the view's near edge, facing the far
     edge.  Cells outside the map are coded unseen; walls do not occlude
     (cells behind them are still reported).  The agent's own cell shows
-    its underlying content.
+    its underlying content.  A view depends only on the static level and
+    the agent's pose, so each is built once and returned read-only.
     """
-    level = state.level
-    x, y = state.agent_pos
-    dx, dy = DIR_VECTORS[state.agent_dir]
-    rx, ry = DIR_VECTORS[_RIGHT_OF[state.agent_dir]]
+    return _view(state.level, state.agent_pos, state.agent_dir)
+
+
+# About two 19x19 levels of views; callers use one level at a time.
+@lru_cache(maxsize=2048)
+def _view(level: Level, pos: tuple[int, int], direction: Direction) -> np.ndarray:
+    x, y = pos
+    dx, dy = DIR_VECTORS[direction]
+    rx, ry = DIR_VECTORS[_RIGHT_OF[direction]]
 
     wx = x + _FWD * dx + _LAT * rx
     wy = y + _FWD * dy + _LAT * ry
@@ -283,6 +289,7 @@ def observe(state: EnvState) -> np.ndarray:
 
     obs = np.zeros(OBS_SHAPE, dtype=np.uint8)
     obs[..., 0][inside] = _code_grid(level)[wy[inside], wx[inside]]
+    obs.flags.writeable = False
     return obs
 
 

@@ -18,7 +18,7 @@ import json
 import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,12 +95,24 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
     return data
 
 
+def _check_keys(values: dict, cls, prefix: str = "") -> None:
+    """Every key names a field of `cls`, and a value has the type of its
+    field's default: an int passes for a float, a string for a null."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    for key, value in values.items():
+        if key not in defaults:
+            raise ValueError(f"unknown config key {prefix}{key!r}")
+        if defaults[key] is MISSING:
+            continue
+        kind = type(defaults[key])
+        ok = {float: (int, float), type(None): (str, kind)}.get(kind, (kind,))
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, ok):
+            raise ValueError(f"wrong type for config key {prefix}{key!r}: {value!r}")
+
+
 def config_from_json(data: dict) -> ExperimentConfig:
-    """Strict parse: unknown keys are errors naming the offending key."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key in data:
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
+    """Strict parse: an unknown key or a mistyped value is an error naming it."""
+    _check_keys(data, ExperimentConfig)
     if "strategy" not in data:
         raise ValueError("missing config key 'strategy'")
     kwargs = dict(data)
@@ -109,10 +121,7 @@ def config_from_json(data: dict) -> ExperimentConfig:
         if section in kwargs:
             if not isinstance(kwargs[section], dict):
                 raise ValueError(f"config key {section!r} must be an object")
-            allowed = {f.name for f in fields(cls)}
-            for key in kwargs[section]:
-                if key not in allowed:
-                    raise ValueError(f"unknown config key {section}.{key!r}")
+            _check_keys(kwargs[section], cls, f"{section}.")
             kwargs[section] = cls(**kwargs[section])
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
@@ -431,6 +440,14 @@ def run_suite(
     return runs
 
 
+def check_strategies(strategies: list[Strategy]) -> None:
+    if len(strategies) < 2:
+        raise ValueError("compare needs at least 2 strategies")
+    repeated = sorted({s.value for s in strategies if strategies.count(s) > 1})
+    if repeated:
+        raise ValueError(f"strategy given more than once: {', '.join(repeated)}")
+
+
 def compare_suite(
     cfg: ExperimentConfig,
     strategies: list[Strategy],
@@ -444,11 +461,7 @@ def compare_suite(
     task of a single list, so `jobs` > 1 keeps all workers busy across
     strategies; `jobs` == 1 runs each strategy's runs in turn.
     """
-    if len(strategies) < 2:
-        raise ValueError("compare needs at least 2 strategies")
-    repeated = sorted({s.value for s in strategies if strategies.count(s) > 1})
-    if repeated:
-        raise ValueError(f"strategy given more than once: {', '.join(repeated)}")
+    check_strategies(strategies)
     out = Path(out_dir)
     tasks = []
     for strategy in strategies:

@@ -22,6 +22,7 @@ An action distribution is represented as a plain probability vector
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .gridworld import Action
 OBS_DIM = 7 * 7 * 3
 HIDDEN = (64, 64)
 N_ACTIONS = 3
+_ACTIONS = tuple(Action)
 
 # One linear layer: (weights with shape (fan_in, fan_out), bias (fan_out,)).
 Layer = tuple[np.ndarray, np.ndarray]
@@ -205,8 +207,13 @@ def forward(params: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> Action:
     """Inverse-CDF draw from a 3-way distribution; advances `rng`."""
-    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    return Action(min(idx, len(probs) - 1))
+    return draw_action(np.cumsum(probs).tolist(), rng)
+
+
+def draw_action(cdf: list[float], rng: np.random.Generator) -> Action:
+    """`sample_action` on `cdf = np.cumsum(probs).tolist()`, which a caller
+    drawing often from one distribution keeps; advances `rng`."""
+    return _ACTIONS[min(bisect_right(cdf, rng.random()), len(cdf) - 1)]
 
 
 def grad_loss(

@@ -7,7 +7,7 @@ The two primitives the agent eco-system consumes live here: `learn_epoch`
 A greedy episode stops at the first repeated (position, direction) and
 returns 0, the reward the full episode would pay: the level is static
 and the argmax policy deterministic, so from a repeated state the agent
-can only cycle until `max_steps`.
+can only cycle until `max_steps`.  A rollout forwards each state once.
 
 Everything is deterministic given the RNG passed in; training a given
 agent on a given level is a pure function of (params, level, config,
@@ -26,10 +26,10 @@ from .policy import (
     LossSpec,
     Minibatch,
     PolicyParams,
+    draw_action,
     flatten_obs,
     forward,
     grad_loss,
-    sample_action,
 )
 
 
@@ -90,21 +90,35 @@ class Trajectory:
 def collect_rollout(
     params: PolicyParams, level: Level, n_steps: int, rng: np.random.Generator
 ) -> Trajectory:
-    """Run episodes back-to-back until `n_steps` transitions are stored."""
+    """Run episodes back-to-back until `n_steps` transitions are stored.
+
+    The network's input, outputs and action CDF are memoized per (position,
+    direction): exact, as the weights are fixed for the rollout and the
+    view depends only on the pair, so a repeat gives the same bits.
+    """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 
+    memo = {}
+
+    def network(state, obs):
+        key = (state.agent_pos, state.agent_dir)
+        if key not in memo:
+            x = flatten_obs(obs)
+            probs, value = forward(params, x)
+            memo[key] = x, probs, value, np.cumsum(probs).tolist()
+        return memo[key]
+
     state, obs = reset(level)
-    x = flatten_obs(obs)
-    obs_buf = np.empty((n_steps, x.shape[0]))
+    obs_buf = np.empty((n_steps, obs.size))
     actions = np.empty(n_steps, dtype=np.int64)
     rewards = np.empty(n_steps)
     dones = np.empty(n_steps, dtype=bool)
     logps = np.empty(n_steps)
     values = np.empty(n_steps)
     for t in range(n_steps):
-        probs, value = forward(params, x)
-        action = sample_action(probs, rng)
+        x, probs, value, cdf = network(state, obs)
+        action = draw_action(cdf, rng)
         state, obs, reward, done = step(state, action)
         obs_buf[t] = x
         actions[t] = int(action)
@@ -114,9 +128,8 @@ def collect_rollout(
         values[t] = value
         if done:
             state, obs = reset(level)
-        x = flatten_obs(obs)
 
-    bootstrap = 0.0 if dones[-1] else forward(params, x)[1]
+    bootstrap = 0.0 if dones[-1] else network(state, obs)[2]
     return Trajectory(
         obs=obs_buf,
         actions=actions,

@@ -11,10 +11,12 @@ from ecopool.policy import (
     LossSpec,
     Minibatch,
     PolicyParams,
+    flatten_obs,
     forward,
     grad_loss,
     init_params,
 )
+from ecopool.ppo import Trajectory
 
 
 def perturbed(
@@ -153,6 +155,50 @@ def full_greedy_episode(params: PolicyParams, level: Level) -> float:
         state, obs, reward, _ = step(state, Action(int(np.argmax(probs))))
         total += reward
     return total
+
+
+def searchsorted_action(probs: np.ndarray, rng: np.random.Generator) -> Action:
+    """Inverse-CDF draw by `np.searchsorted` on the cumulative sum."""
+    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    return Action(min(idx, len(probs) - 1))
+
+
+def plain_rollout(
+    params: PolicyParams, level: Level, n_steps: int, rng: np.random.Generator
+) -> Trajectory:
+    """`ppo.collect_rollout` with one `forward` and one fresh draw per
+    step, without its per-state memo."""
+    state, obs = reset(level)
+    x = flatten_obs(obs)
+    obs_buf = np.empty((n_steps, x.shape[0]))
+    actions = np.empty(n_steps, dtype=np.int64)
+    rewards = np.empty(n_steps)
+    dones = np.empty(n_steps, dtype=bool)
+    logps = np.empty(n_steps)
+    values = np.empty(n_steps)
+    for t in range(n_steps):
+        probs, value = forward(params, x)
+        action = searchsorted_action(probs, rng)
+        state, obs, reward, done = step(state, action)
+        obs_buf[t] = x
+        actions[t] = int(action)
+        rewards[t] = reward
+        dones[t] = done
+        logps[t] = np.log(probs[action])
+        values[t] = value
+        if done:
+            state, obs = reset(level)
+        x = flatten_obs(obs)
+    bootstrap = 0.0 if dones[-1] else forward(params, x)[1]
+    return Trajectory(
+        obs=obs_buf,
+        actions=actions,
+        rewards=rewards,
+        dones=dones,
+        logp=logps,
+        values=values,
+        bootstrap_value=bootstrap,
+    )
 
 
 def layerwise_adam(

@@ -1,9 +1,11 @@
 """CLI: subcommands, exit codes, output layout."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from ecopool.harness import ExperimentConfig, config_to_json, load_metrics
 
 from test_acceptance import GRID, TINY_PPO
 from test_harness import _fake_learn
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -117,6 +121,28 @@ def test_grid_as_list_exit_2(tmp_path, capsys):
     out = tmp_path / "x"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "'grid'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, edit, key",
+    [
+        ("run", lambda data: data.update(n_runs="1"), "'n_runs'"),
+        ("show-env", lambda data: data["grid"].update(width="9"), "grid.'width'"),
+    ],
+)
+def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, command, edit, key):
+    data = json.loads((CONFIGS / "tiny.json").read_text())
+    edit(data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "x"
+    if command == "run":
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+    else:
+        argv = ["show-env", "3", "--config", str(cfg_path)]
+    assert cli.main(argv) == 2
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -238,7 +264,7 @@ def test_compare_repeated_strategy_exit_2(tmp_path, capsys, monkeypatch):
     )
     assert rc == 2
     assert "more than once: basic" in capsys.readouterr().err
-    assert not (out / "basic").exists()
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- inspect / export
@@ -329,3 +355,20 @@ def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
         outputs.append({name: (run_dir / name).read_bytes() for name in files})
     assert len(outputs[0]) > 2
     assert outputs[0] == outputs[1]
+
+
+def test_tiny_config_output_hashes(tmp_path):
+    # The bytes every bit-exact change must keep.  A change that moves the
+    # numbers on purpose updates these hashes and says so in CHANGES.md.
+    out = tmp_path / "tiny"
+    argv = ["run", "--config", str(CONFIGS / "tiny.json"), "--out", str(out)]
+    assert cli.main(argv) == 0
+    run_dir = out / "run_00"
+    digests = {
+        name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        for name in ("metrics.csv", "audit.jsonl")
+    }
+    assert digests == {
+        "metrics.csv": "380b3d2eeae4c5cf498e877a12fbe3b94ba8b9c6a3dfed3f7ab07cfa16b44b65",
+        "audit.jsonl": "2c417d7b6d27afc0769c00454e0a3c09b1c75c22c704a62899ef84be2ca39542",
+    }

@@ -13,6 +13,7 @@ from ecopool.gridworld import (
     WALL,
     Action,
     Direction,
+    EnvState,
     GridConfig,
     generate_level,
     level_from_json,
@@ -304,6 +305,41 @@ class TestObserve:
     def test_purity(self):
         state, _ = reset(generate_level(5))
         assert np.array_equal(observe(state), observe(state))
+
+
+def _all_states(level):
+    for y in range(level.height):
+        for x in range(level.width):
+            if (x, y) not in level.walls:
+                for d in Direction:
+                    yield EnvState(level, (x, y), d, steps_used=0, done=False)
+
+
+class TestCachedViews:
+    @pytest.mark.parametrize("size", [9, 19])
+    def test_every_state_matches_reference(self, size):
+        grid = GridConfig(width=size, height=size, max_steps=100)
+        for seed in range(6):
+            for state in _all_states(generate_level(seed, grid)):
+                # Twice: the first call builds the view, the second reads it.
+                assert np.array_equal(observe(state), _observe_reference(state))
+                assert np.array_equal(observe(state), _observe_reference(state))
+
+    def test_views_are_read_only(self):
+        state, obs = reset(generate_level(2))
+        assert not obs.flags.writeable
+        with pytest.raises(ValueError):
+            obs[6, 3, 0] = GOAL
+        assert np.array_equal(observe(state), _observe_reference(state))
+
+    def test_regenerated_level_gets_same_views(self):
+        grid = GridConfig(width=19, height=19, max_steps=300)
+        first = list(_all_states(generate_level(4, grid)))
+        views = [observe(state) for state in first]
+        again = generate_level(4, grid)
+        assert again is not first[0].level and again == first[0].level
+        for state, view in zip(_all_states(again), views):
+            assert observe(state) is view
 
 
 class TestSerialization:

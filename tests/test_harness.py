@@ -258,6 +258,21 @@ def test_config_unknown_keys_named():
         config_from_json(bad)
 
 
+def test_config_value_types_named():
+    base = config_to_json(ExperimentConfig(strategy=Strategy.BASIC))
+    # An int passes for a float, a string for a null default.
+    cfg = config_from_json(dict(base, threshold=1, out_dir="x", ppo=dict(lr=1)))
+    assert (cfg.threshold, cfg.out_dir, cfg.ppo.lr) == (1, "x", 1)
+    for key, value in (
+        ("n_runs", "1"), ("n_runs", 2.0), ("n_runs", True),
+        ("threshold", "0.8"), ("optimize_pool", 1), ("out_dir", 3),
+    ):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            config_from_json(dict(base, **{key: value}))
+    with pytest.raises(ValueError, match="ppo.'update_epochs'"):
+        config_from_json(dict(base, ppo=dict(update_epochs=None)))
+
+
 def test_load_config(tmp_path):
     cfg = ExperimentConfig(strategy=Strategy.RANDOM, n_train_envs=20, eval_every=10)
     path = tmp_path / "cfg.json"

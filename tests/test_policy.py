@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ecopool.policy import (
     Minibatch,
     PolicyParams,
     clone_params,
+    draw_action,
     flatten_obs,
     forward,
     grad_loss,
@@ -25,7 +27,13 @@ from ecopool.policy import (
     sample_action,
 )
 from ecopool.ppo import collect_rollout, compute_gae
-from oracles import fd_gradients, layerwise_adam, max_rel_error, random_grad_case
+from oracles import (
+    fd_gradients,
+    layerwise_adam,
+    max_rel_error,
+    random_grad_case,
+    searchsorted_action,
+)
 
 
 def _zero_params(obs_dim=147, hidden=(64, 64), n_actions=3) -> PolicyParams:
@@ -143,6 +151,28 @@ class TestSampleAction:
         a = [sample_action(probs, np.random.default_rng(s)) for s in range(50)]
         b = [sample_action(probs, np.random.default_rng(s)) for s in range(50)]
         assert a == b
+
+    def test_matches_searchsorted_on_every_draw(self):
+        rng = np.random.default_rng(3)
+        cases = [rng.dirichlet(np.ones(3)) for _ in range(200)]
+        cases += [np.array(p) for p in ([1.0, 0, 0], [0, 0, 1.0], [0.5, 0, 0.5])]
+        cases.append(np.full(3, 1 / 3))
+        for i, probs in enumerate(cases):
+            cdf = np.cumsum(probs)
+            # Draws on and next to each CDF entry, where the comparisons decide.
+            draws = [0.0, np.nextafter(1.0, 0.0)] + [
+                float(u)
+                for c in cdf
+                for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 2.0))
+            ]
+            for u in draws:
+                fixed = SimpleNamespace(random=lambda u=u: u)
+                expected = searchsorted_action(probs, fixed)
+                assert draw_action(cdf.tolist(), fixed) == expected
+                assert sample_action(probs, fixed) == expected
+            a, b = np.random.default_rng(i), np.random.default_rng(i)
+            for _ in range(50):
+                assert draw_action(cdf.tolist(), a) == searchsorted_action(probs, b)
 
 
 class TestGradLoss:

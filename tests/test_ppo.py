@@ -1,5 +1,7 @@
 """Rollout collection, advantage estimation, updates, and evaluation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ecopool.gridworld import (
     generate_level,
     parse_ascii,
 )
+from ecopool import policy
 from ecopool.policy import LossSpec, Minibatch, grad_loss, init_params
 from ecopool import ppo
 from ecopool.ppo import (
@@ -21,7 +24,12 @@ from ecopool.ppo import (
     learn_epoch,
     ppo_update,
 )
-from oracles import full_greedy_episode, gae_bruteforce, random_trajectory
+from oracles import (
+    full_greedy_episode,
+    gae_bruteforce,
+    plain_rollout,
+    random_trajectory,
+)
 from test_policy import _zero_params
 
 CORRIDOR_GOAL_3 = (
@@ -94,6 +102,65 @@ class TestCollectRollout:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             collect_rollout(init_params(0), generate_level(0), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("size, max_steps", [(9, 100), (19, 300)])
+    def test_memo_matches_plain_rollout(self, size, max_steps):
+        grid = GridConfig(width=size, height=size, max_steps=max_steps)
+        cfg = PpoConfig(rollout_steps=256, update_epochs=2)
+        for seed in range(20):
+            level = generate_level(seed, grid)
+            params = init_params(seed)
+            rng = np.random.default_rng(seed)
+            for _ in range(3):
+                ref_rng = copy.deepcopy(rng)
+                got = collect_rollout(params, level, cfg.rollout_steps, rng)
+                want = plain_rollout(params, level, cfg.rollout_steps, ref_rng)
+                for name in ("obs", "actions", "rewards", "dones", "logp", "values"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                assert (
+                    np.float64(got.bootstrap_value).tobytes()
+                    == np.float64(want.bootstrap_value).tobytes()
+                )
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                # Move the weights before the next rollout.
+                params, _ = learn_epoch(params, level, cfg, rng)
+
+    def test_forward_once_per_state(self, monkeypatch):
+        forwards = 0
+        acted_from = set()
+        last = []
+
+        def counting_forward(params, x):
+            nonlocal forwards
+            forwards += 1
+            return policy.forward(params, x)
+
+        def recording_step(state, action):
+            acted_from.add((state.agent_pos, state.agent_dir))
+            last[:] = [gridworld.step(state, action)]
+            return last[0]
+
+        monkeypatch.setattr(ppo, "forward", counting_forward)
+        monkeypatch.setattr(ppo, "step", recording_step)
+        bootstraps_unseen = 0
+        for seed in range(10):
+            for n_steps in (1, 5, 64, 512):
+                forwards = 0
+                acted_from.clear()
+                collect_rollout(
+                    init_params(seed),
+                    generate_level(seed),
+                    n_steps,
+                    np.random.default_rng(seed),
+                )
+                expected = len(acted_from)
+                state, _, _, done = last[0]
+                if not done and (state.agent_pos, state.agent_dir) not in acted_from:
+                    expected += 1
+                    bootstraps_unseen += 1
+                assert forwards == expected
+        assert bootstraps_unseen > 0
 
 
 class TestComputeGae:
