@@ -91,6 +91,8 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args, strategy: Strategy | None) -> ExperimentConfig:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.config:
         cfg = load_config(args.config)
     elif strategy is not None:

@@ -17,7 +17,9 @@ import csv
 import json
 import logging
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from .ecosystem import (
     save_pool,
 )
 from .gridworld import GridConfig, Level, generate_level
-from .ppo import PpoConfig, test_agent
+from .ppo import PpoConfig, critic_helper, test_agent
 
 logger = logging.getLogger(__name__)
 
@@ -401,13 +403,25 @@ def _log_to_files(files: list[tuple[str, logging.Formatter]], level: int) -> Non
         pkg_logger.addHandler(handler)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[list[MetricsRecord]]:
     """Records of each (cfg, run seed, run dir) task, in task order.
 
     With `jobs` > 1 the tasks share one pool of spawned worker processes;
-    `jobs` == 1 runs them one after another in this process.  Runs are
-    independent (each owns its pool), so results are identical either way.
+    `jobs` == 1 runs them one after another in this process, and there,
+    in a program's main process that may use a second CPU, the critic
+    half of every update runs on a forked helper (see `critic_helper`).
+    Runs are independent (each owns its pool) and the split update is
+    exact, so results are identical either way.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1 and len(tasks) > 1:
         pkg_logger = logging.getLogger("ecopool")
         files = [
@@ -422,7 +436,13 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[list[MetricsRecord]]:
             initargs=(files, pkg_logger.level),
         ) as pool:
             return list(pool.map(_suite_worker, tasks))
-    return [_suite_worker(task) for task in tasks]
+    helper = (
+        multiprocessing.parent_process() is None
+        and "fork" in multiprocessing.get_all_start_methods()
+        and _usable_cpus() >= 2
+    )
+    with critic_helper() if helper else nullcontext():
+        return [_suite_worker(task) for task in tasks]
 
 
 def run_suite(

@@ -6,7 +6,9 @@ architecture is 147-64-64 with a 3-way actor head and a 1-unit critic
 head; smaller nets can be built for tests via `init_params` arguments.
 
 Gradients of the clipped-surrogate loss are derived by hand for this
-fixed architecture; there is no autodiff.
+fixed architecture; there is no autodiff.  The actor's half of the loss
+and its gradient and the critic's half are separate functions, which
+`grad_loss` composes and a per-head training loop can call on its own.
 
 All weights of an agent live in one float64 vector, `PolicyParams.flat`;
 its `actor` and `critic` layers are (W, b) views into that vector, so a
@@ -216,6 +218,69 @@ def draw_action(cdf: list[float], rng: np.random.Generator) -> Action:
     return _ACTIONS[min(bisect_right(cdf, rng.random()), len(cdf) - 1)]
 
 
+def _actor_grad(
+    actor: tuple[Layer, ...],
+    x: np.ndarray,
+    actions: np.ndarray,
+    old_logp: np.ndarray,
+    adv: np.ndarray,
+    spec: LossSpec,
+    grads: tuple[Layer, ...],
+) -> tuple[float, float]:
+    """Actor half of `grad_loss`: (mean clipped surrogate, mean entropy),
+    with the gradient of -L_clip - c_e*H written into `grads`."""
+    n = x.shape[0]
+    rows = np.arange(n)
+
+    acts = _mlp_forward(actor, x)
+    probs = _softmax(acts[-1])
+    logp_all = np.log(probs)
+    new_logp = logp_all[rows, actions]
+    ratio = np.exp(new_logp - old_logp)
+
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, 1.0 - spec.epsilon, 1.0 + spec.epsilon) * adv
+    surrogate = np.minimum(unclipped, clipped)
+    entropy = -(probs * logp_all).sum(axis=1)
+
+    # d(-L_clip)/d logp: gradient flows only where the unclipped term is
+    # the active minimum (ties included, where both branches agree).
+    d_logp = -np.where(unclipped <= clipped, unclipped, 0.0) / n
+    onehot = np.zeros_like(probs)
+    onehot[rows, actions] = 1.0
+    d_logits = d_logp[:, None] * (onehot - probs)
+    # d(-c_e*H)/d logits for a softmax head.
+    d_logits += (
+        (spec.entropy_coef / n) * probs * (logp_all + entropy[:, None])
+    )
+    _mlp_backward(actor, acts, d_logits, grads)
+    return float(surrogate.mean()), float(entropy.mean())
+
+
+def _critic_grad(
+    critic: tuple[Layer, ...],
+    x: np.ndarray,
+    returns: np.ndarray,
+    spec: LossSpec,
+    grads: tuple[Layer, ...],
+) -> tuple[float]:
+    """Critic half of `grad_loss`: (mean squared value error,), with the
+    gradient of c_v*VL written into `grads`."""
+    n = x.shape[0]
+    acts = _mlp_forward(critic, x)
+    v_err = acts[-1][:, 0] - returns
+    d_value = (2.0 * spec.value_coef / n) * v_err[:, None]
+    _mlp_backward(critic, acts, d_value, grads)
+    return (float(np.mean(v_err**2)),)
+
+
+def _loss(actor_terms: tuple[float, float], critic_terms: tuple[float], spec: LossSpec):
+    """Total loss from the two halves' terms.  It is non-finite whenever
+    any term is: inf - inf, 0 * inf and anything with nan are nan."""
+    (surrogate, entropy), (value,) = actor_terms, critic_terms
+    return -surrogate + spec.value_coef * value - spec.entropy_coef * entropy
+
+
 def grad_loss(
     params: PolicyParams, batch: Minibatch, spec: LossSpec
 ) -> tuple[float, PolicyParams]:
@@ -224,52 +289,25 @@ def grad_loss(
     L_clip = mean(min(r*A, clip(r, 1-eps, 1+eps)*A)) with r = exp(logp - old_logp),
     VL = mean((V - returns)^2), H = mean entropy of the action distribution.
     Backprop runs through the softmax and tanh chains analytically; the
-    gradients come back in the layout of `params`.
+    gradients come back in the layout of `params`.  The actor's terms and
+    gradients read only the actor's weights and the critic's only the
+    critic's, so each half is its own function.
     """
-    x = batch.obs
-    n = x.shape[0]
-    rows = np.arange(n)
-
-    acts_a = _mlp_forward(params.actor, x)
-    probs = _softmax(acts_a[-1])
-    logp_all = np.log(probs)
-    new_logp = logp_all[rows, batch.actions]
-    ratio = np.exp(new_logp - batch.old_logp)
-
-    adv = batch.advantages
-    unclipped = ratio * adv
-    clipped = np.clip(ratio, 1.0 - spec.epsilon, 1.0 + spec.epsilon) * adv
-    surrogate = np.minimum(unclipped, clipped)
-    entropy = -(probs * logp_all).sum(axis=1)
-
-    acts_c = _mlp_forward(params.critic, x)
-    values = acts_c[-1][:, 0]
-    v_err = values - batch.returns
-
-    loss = (
-        -surrogate.mean()
-        + spec.value_coef * np.mean(v_err**2)
-        - spec.entropy_coef * entropy.mean()
-    )
-    if not np.isfinite(loss):
-        raise FloatingPointError("non-finite loss (training diverged)")
-
-    # d(-L_clip)/d logp: gradient flows only where the unclipped term is
-    # the active minimum (ties included, where both branches agree).
-    d_logp = -np.where(unclipped <= clipped, unclipped, 0.0) / n
-    onehot = np.zeros_like(probs)
-    onehot[rows, batch.actions] = 1.0
-    d_logits = d_logp[:, None] * (onehot - probs)
-    # d(-c_e*H)/d logits for a softmax head.
-    d_logits += (
-        (spec.entropy_coef / n) * probs * (logp_all + entropy[:, None])
-    )
-    d_value = (2.0 * spec.value_coef / n) * v_err[:, None]
-
     grads = PolicyParams.from_flat(np.empty_like(params.flat), params.widths)
-    _mlp_backward(params.actor, acts_a, d_logits, grads.actor)
-    _mlp_backward(params.critic, acts_c, d_value, grads.critic)
-    return float(loss), grads
+    actor_terms = _actor_grad(
+        params.actor,
+        batch.obs,
+        batch.actions,
+        batch.old_logp,
+        batch.advantages,
+        spec,
+        grads.actor,
+    )
+    critic_terms = _critic_grad(params.critic, batch.obs, batch.returns, spec, grads.critic)
+    loss = _loss(actor_terms, critic_terms, spec)
+    if not math.isfinite(loss):
+        raise FloatingPointError("non-finite loss (training diverged)")
+    return loss, grads
 
 
 def clone_params(src: PolicyParams) -> PolicyParams:
@@ -320,17 +358,35 @@ class Adam:
 
     def step(self, params: PolicyParams, grads: PolicyParams) -> PolicyParams:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        g = grads.flat
-        self._m *= self.beta1
-        self._m += (1 - self.beta1) * g
-        self._v *= self.beta2
-        self._v += (1 - self.beta2) * g**2
-        # This operation order is part of the results: an algebraically
-        # equal form, such as folding lr into bc1, changes the last bits.
-        update = self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)
+        update = _adam_update(
+            self._m, self._v, grads.flat, self.t, self.lr, self.beta1, self.beta2, self.eps
+        )
         return PolicyParams.from_flat(params.flat - update, params.widths)
+
+
+def _adam_update(
+    m: np.ndarray,
+    v: np.ndarray,
+    g: np.ndarray,
+    t: int,
+    lr: float,
+    beta1: float,
+    beta2: float,
+    eps: float,
+) -> np.ndarray:
+    """Adam's t-th step on one slice: folds the gradient `g` into the
+    moments `m` and `v` in place and returns the amount to subtract from
+    the weights.  Every operation is elementwise, so a slice of the
+    vector gets the same bits as the whole."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g**2
+    # This operation order is part of the results: an algebraically
+    # equal form, such as folding lr into bc1, changes the last bits.
+    return lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def params_to_json(params: PolicyParams) -> dict:

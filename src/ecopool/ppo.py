@@ -9,6 +9,13 @@ returns 0, the reward the full episode would pay: the level is static
 and the argmax policy deterministic, so from a repeated state the agent
 can only cycle until `max_steps`.  A rollout forwards each state once.
 
+An update trains the actor and the critic in two loops over one
+minibatch schedule.  The networks share no weights and Adam is
+elementwise, so this gets the bits of one joint loop; inside a
+`critic_helper` block (the harness opens one for serial runs on a
+machine with a second CPU) the critic's loop runs on a forked helper
+process, in parallel with the actor's.
+
 Everything is deterministic given the RNG passed in; training a given
 agent on a given level is a pure function of (params, level, config,
 rng state).
@@ -16,6 +23,11 @@ rng state).
 
 from __future__ import annotations
 
+import math
+import multiprocessing
+import signal
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +36,16 @@ from .gridworld import Action, Level, reset, step
 from .policy import (
     Adam,
     LossSpec,
-    Minibatch,
     PolicyParams,
+    _actor_grad,
+    _adam_update,
+    _critic_grad,
+    _head_views,
+    _loss,
     draw_action,
     flatten_obs,
     forward,
-    grad_loss,
+    grad_loss,  # noqa: F401 - perfbench/layers.py wraps ppo.grad_loss
 )
 
 
@@ -57,6 +73,11 @@ class PpoConfig:
         for field in ("rollout_steps", "minibatch_size", "update_epochs"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
+        if self.minibatch_size > self.rollout_steps:
+            raise ValueError(
+                f"minibatch_size ({self.minibatch_size}) must not exceed "
+                f"rollout_steps ({self.rollout_steps})"
+            )
         if self.lr <= 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.value_coef < 0.0 or self.entropy_coef < 0.0:
@@ -171,6 +192,124 @@ def compute_gae(
     return advantages, returns
 
 
+@dataclass(frozen=True)
+class _HeadJob:
+    """One head's share of an update, sent whole to the helper.
+
+    `flat`, `m` and `v` are the head's slices of the weights and of
+    Adam's moments, owned by the job and updated in place; `t` is the
+    number of Adam steps taken before the first minibatch.  `columns`
+    are the per-step arrays the head's gradient reads, observations
+    first, and each minibatch gathers its rows of them.
+    """
+
+    grad: Callable  # policy's _actor_grad or _critic_grad
+    widths: tuple[int, ...]
+    flat: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    t: int
+    adam: tuple[float, float, float, float]  # lr, beta1, beta2, eps
+    spec: LossSpec
+    columns: tuple[np.ndarray, ...]
+    orders: list[np.ndarray]
+    minibatch_size: int
+
+
+def _train_head(job: _HeadJob, stop: Callable[[], bool] | None = None):
+    """Every minibatch step of one head, in schedule order.
+
+    Returns (flat, m, v, terms), with each step's loss terms; it stops
+    after the first step whose terms are not all finite, as the total
+    loss of that step is then non-finite too.  Returns None as soon as
+    `stop()` is true before a step.
+    """
+    flat, m, v, t = job.flat, job.m, job.v, job.t
+    layers, _ = _head_views(flat, job.widths, 0)
+    g = np.empty_like(flat)
+    grads, _ = _head_views(g, job.widths, 0)
+    terms = []
+    for order in job.orders:
+        for lo in range(0, len(order), job.minibatch_size):
+            if stop is not None and stop():
+                return None
+            idx = order[lo : lo + job.minibatch_size]
+            terms.append(job.grad(layers, *(c[idx] for c in job.columns), job.spec, grads))
+            if not all(map(math.isfinite, terms[-1])):
+                return flat, m, v, terms
+            t += 1
+            flat -= _adam_update(m, v, g, t, *job.adam)
+    return flat, m, v, terms
+
+
+class _Helper:
+    """This process's side of the pipe to the helper."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.busy = False  # a job was sent and its reply is not read yet
+
+    def free(self) -> bool:
+        """Whether the helper can take a job now.  Reads and drops the
+        reply to a job this process finished first."""
+        if self.busy and self.conn.poll():
+            self.conn.recv()
+            self.busy = False
+        return not self.busy
+
+
+# Set while a `critic_helper` block is open.
+_helper: _Helper | None = None
+
+
+def _serve(conn, parent_end) -> None:
+    """The helper's loop: train each critic job received, send back its
+    result, and exit when the pipe closes."""
+    parent_end.close()  # else the helper would hold its own EOF off
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = _train_head(job)
+        except Exception as exc:  # noqa: BLE001 - re-raised in the caller
+            reply = exc
+        try:
+            conn.send(reply)
+        except OSError:  # the block closed before this reply was needed
+            return
+
+
+@contextmanager
+def critic_helper():
+    """Train the critic half of every `ppo_update` in this block on a
+    forked helper process, while the actor half runs here.
+
+    If the helper's reply is not there when the actor is done (its core
+    is busy or slow), this process trains the critic itself and stops as
+    soon as the reply comes; both give the same bits, so an update never
+    waits on the helper for longer than the critic takes here.  The
+    helper is forked, so it shares this program's code without importing
+    `__main__` again; it exits when the block closes the pipe, and the
+    block joins it.
+    """
+    global _helper
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe()
+    proc = ctx.Process(target=_serve, args=(child_end, conn), daemon=True)
+    proc.start()
+    child_end.close()
+    _helper = _Helper(conn)
+    try:
+        yield
+    finally:
+        _helper = None
+        conn.close()
+        proc.join()
+
+
 def ppo_update(
     params: PolicyParams,
     traj: Trajectory,
@@ -183,6 +322,14 @@ def ppo_update(
     For `update_epochs` passes: shuffle, split into minibatches, and apply
     one optimizer step per minibatch.  `opt` carries moment state across
     calls for the same agent; omitted, a fresh optimizer is used.
+
+    The actor and the critic are separate networks, the loss is a sum of
+    an actor and a critic term, and Adam is elementwise: so each head
+    runs its own loop over the one minibatch schedule, on its slice of
+    the weights and moments, and gets the bits a joint loop would.
+    Inside a `critic_helper` block the critic's loop runs on the helper.
+    A non-finite loss raises FloatingPointError and leaves `opt` as it
+    was.
     """
     n = len(traj)
     if n < cfg.minibatch_size:
@@ -194,20 +341,51 @@ def ppo_update(
 
     advantages, returns = compute_gae(traj, cfg.gamma, cfg.lam)
     spec = cfg.loss_spec()
-    for _ in range(cfg.update_epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.minibatch_size):
-            idx = order[lo : lo + cfg.minibatch_size]
-            batch = Minibatch(
-                obs=traj.obs[idx],
-                actions=traj.actions[idx],
-                old_logp=traj.logp[idx],
-                advantages=advantages[idx],
-                returns=returns[idx],
-            )
-            _, grads = grad_loss(params, batch, spec)
-            params = opt.step(params, grads)
-    return params
+    orders = [rng.permutation(n) for _ in range(cfg.update_epochs)]
+    split = sum(w.size + b.size for w, b in params.actor)
+
+    def job(grad, part, widths, columns):
+        return _HeadJob(
+            grad,
+            widths,
+            params.flat[part].copy(),
+            opt._m[part].copy(),
+            opt._v[part].copy(),
+            opt.t,
+            (opt.lr, opt.beta1, opt.beta2, opt.eps),
+            spec,
+            columns,
+            orders,
+            cfg.minibatch_size,
+        )
+
+    actor_part, critic_part = slice(0, split), slice(split, None)
+    actor_job = job(
+        _actor_grad, actor_part, params.widths[0], (traj.obs, traj.actions, traj.logp, advantages)
+    )
+    critic_job = job(_critic_grad, critic_part, params.widths[1], (traj.obs, returns))
+    if _helper is not None and _helper.free():
+        _helper.conn.send(critic_job)
+        _helper.busy = True
+        actor = _train_head(actor_job)
+        critic = _train_head(critic_job, stop=_helper.conn.poll)
+        if critic is None:  # the helper's reply came first
+            critic = _helper.conn.recv()
+            _helper.busy = False
+            if isinstance(critic, Exception):
+                raise critic
+    else:
+        critic = _train_head(critic_job)
+        actor = _train_head(actor_job)
+
+    for actor_terms, critic_terms in zip(actor[3], critic[3]):
+        if not math.isfinite(_loss(actor_terms, critic_terms, spec)):
+            raise FloatingPointError("non-finite loss (training diverged)")
+    for part, (flat, m, v, _) in ((actor_part, actor), (critic_part, critic)):
+        opt._m[part] = m
+        opt._v[part] = v
+    opt.t += len(actor[3])
+    return PolicyParams.from_flat(np.concatenate([actor[0], critic[0]]), params.widths)
 
 
 def learn_epoch(

@@ -8,6 +8,7 @@ import numpy as np
 
 from ecopool.gridworld import Action, Level, reset, step
 from ecopool.policy import (
+    Adam,
     LossSpec,
     Minibatch,
     PolicyParams,
@@ -16,7 +17,7 @@ from ecopool.policy import (
     grad_loss,
     init_params,
 )
-from ecopool.ppo import Trajectory
+from ecopool.ppo import PpoConfig, Trajectory, compute_gae
 
 
 def perturbed(
@@ -246,3 +247,32 @@ def layerwise_adam(
         params = PolicyParams(actor=heads["actor"], critic=heads["critic"])
         history.append(params)
     return history
+
+
+def plain_ppo_update(
+    params: PolicyParams,
+    traj: Trajectory,
+    cfg: PpoConfig,
+    rng: np.random.Generator,
+    opt: Adam,
+) -> PolicyParams:
+    """`ppo.ppo_update` as one joint loop: a permutation drawn per epoch,
+    then one `grad_loss` over both heads and one `Adam.step` over the
+    whole vector per minibatch."""
+    n = len(traj)
+    advantages, returns = compute_gae(traj, cfg.gamma, cfg.lam)
+    spec = cfg.loss_spec()
+    for _ in range(cfg.update_epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.minibatch_size):
+            idx = order[lo : lo + cfg.minibatch_size]
+            batch = Minibatch(
+                obs=traj.obs[idx],
+                actions=traj.actions[idx],
+                old_logp=traj.logp[idx],
+                advantages=advantages[idx],
+                returns=returns[idx],
+            )
+            _, grads = grad_loss(params, batch, spec)
+            params = opt.step(params, grads)
+    return params

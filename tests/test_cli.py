@@ -124,6 +124,30 @@ def test_grid_as_list_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_minibatch_above_rollout_exit_2(tmp_path, capsys):
+    data = json.loads((CONFIGS / "tiny.json").read_text())
+    data["ppo"]["minibatch_size"] = 512  # rollout_steps is 256
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "x"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "minibatch_size" in err and "rollout_steps" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exit_2(tmp_path, capsys, command, jobs):
+    out = tmp_path / "x"
+    argv = [command, "--config", str(CONFIGS / "tiny.json"), "--jobs", jobs, "--out", str(out)]
+    if command == "compare":
+        argv += ["--strategy", "basic", "--strategy", "forked"]
+    assert cli.main(argv) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, edit, key",
     [

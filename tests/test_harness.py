@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
 import statistics
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -582,6 +585,58 @@ def test_compare_suite_parallel_writes_same_bytes(tmp_path):
         "forked/run_00/metrics.csv",
     ]
     assert written(2) == serial
+
+
+UNGUARDED_SCRIPT = """
+import os, sys
+from ecopool import harness, ppo
+from ecopool.ecosystem import Strategy
+from ecopool.ppo import PpoConfig
+
+print("top level", flush=True)
+helper_open = []
+update = ppo.ppo_update
+
+def spying_update(*args, **kwargs):
+    helper_open.append(ppo._helper is not None)
+    return update(*args, **kwargs)
+
+ppo.ppo_update = spying_update
+cfg = harness.ExperimentConfig(
+    strategy=Strategy.BASIC, n_train_envs=1, eval_every=1, n_eval_envs=1, n_runs=1,
+    budget=2, ppo=PpoConfig(rollout_steps=64, minibatch_size=32, update_epochs=1),
+)
+harness.run_suite(cfg, sys.argv[1])
+try:
+    os.waitpid(-1, os.WNOHANG)  # reaps or finds any child left behind
+    left = True
+except ChildProcessError:
+    left = False
+print("updates", len(helper_open), "helper", all(helper_open), "child_left", left)
+"""
+
+
+def test_unguarded_script_runs_once_and_leaves_no_child(tmp_path):
+    # No `if __name__ == "__main__"` guard: a helper that imported the
+    # script again would print its top level twice, or fail.
+    script = tmp_path / "script.py"
+    script.write_text(UNGUARDED_SCRIPT)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "out")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "top level" and len(lines) == 2
+    updates, helper, left = lines[1].split()[1::2]
+    assert int(updates) >= 1 and left == "False"
+    if harness._usable_cpus() >= 2:
+        assert helper == "True"
 
 
 def test_compare_suite_needs_two_strategies(tmp_path):

@@ -1,6 +1,8 @@
 """Rollout collection, advantage estimation, updates, and evaluation."""
 
 import copy
+import os
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from ecopool.ppo import (
 from oracles import (
     full_greedy_episode,
     gae_bruteforce,
+    plain_ppo_update,
     plain_rollout,
     random_trajectory,
 )
@@ -272,6 +275,115 @@ class TestPpoUpdate:
             PpoConfig(rollout_steps=0)
         with pytest.raises(ValueError):
             PpoConfig(lr=-1.0)
+        with pytest.raises(ValueError, match="minibatch_size.*rollout_steps"):
+            PpoConfig(rollout_steps=256, minibatch_size=512)
+
+
+@pytest.fixture(params=["inline", "helper"])
+def placement(request):
+    """Each test runs once with both head loops here and once with the
+    critic's on the helper."""
+    if request.param == "inline":
+        assert ppo._helper is None
+        yield request.param
+    else:
+        with ppo.critic_helper():
+            assert ppo._helper is not None
+            yield request.param
+
+
+def _state_bytes(params, opt):
+    return params.flat.tobytes(), opt._m.tobytes(), opt._v.tobytes(), opt.t
+
+
+class TestSplitUpdate:
+    @pytest.mark.parametrize(
+        "grid, steps, minibatch",
+        [
+            (GridConfig(9, 9, 100), 512, 64),
+            (GridConfig(19, 19, 300), 512, 64),
+            (GridConfig(9, 9, 100), 100, 32),  # a last minibatch of 4 rows
+        ],
+    )
+    def test_matches_plain_update(self, placement, grid, steps, minibatch):
+        cfg = PpoConfig(rollout_steps=steps, minibatch_size=minibatch)
+        for seed in range(3):
+            level = generate_level(seed, grid)
+            params = init_params(seed)
+            states = []
+            for update in (ppo_update, plain_ppo_update):
+                p, opt = params, policy.Adam(params, lr=cfg.lr)
+                rng = np.random.default_rng(seed)
+                trace = []
+                for _ in range(3):  # one Adam across consecutive updates
+                    traj = collect_rollout(p, level, cfg.rollout_steps, rng)
+                    p = update(p, traj, cfg, rng, opt)
+                    trace.append(_state_bytes(p, opt))
+                states.append((trace, rng.bit_generator.state))
+            assert states[0] == states[1]
+            assert states[0][0][-1][3] == 3 * cfg.update_epochs * -(-steps // minibatch)
+
+    def test_slow_helper_is_overtaken(self, monkeypatch):
+        # A helper whose core is slow: this process trains the critic
+        # itself, sends no job while the helper is busy, and drops the
+        # reply it no longer needs before it sends the next.
+        caller, train_head = os.getpid(), ppo._train_head
+
+        def slow_in_helper(job, stop=None):
+            if os.getpid() != caller:
+                time.sleep(0.3)
+            return train_head(job, stop)
+
+        monkeypatch.setattr(ppo, "_train_head", slow_in_helper)
+        cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
+        level, params = generate_level(3), init_params(3)
+
+        def train(update, pauses):
+            p, opt = params, policy.Adam(params, lr=cfg.lr)
+            rng = np.random.default_rng(3)
+            trace = []
+            for pause in pauses:
+                time.sleep(pause)
+                traj = collect_rollout(p, level, cfg.rollout_steps, rng)
+                p = update(p, traj, cfg, rng, opt)
+                trace.append(_state_bytes(p, opt))
+            return trace
+
+        want = train(plain_ppo_update, [0.0] * 4)
+        with ppo.critic_helper():
+            conn, sent = ppo._helper.conn, []
+            send = conn.send
+
+            def counting_send(job):
+                sent.append(job)
+                send(job)
+
+            monkeypatch.setattr(conn, "send", counting_send)
+            assert train(ppo_update, [0.0, 0.0, 0.5, 0.0]) == want
+            assert ppo._helper.busy
+        assert len(sent) == 2  # the first update, and the third after the pause
+
+    @pytest.mark.parametrize("head", ["actor", "critic"])
+    def test_non_finite_weight_raises(self, placement, head):
+        cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
+        level = generate_level(1)
+        params = init_params(2)
+        traj = collect_rollout(params, level, cfg.rollout_steps, np.random.default_rng(3))
+        opt = policy.Adam(params, lr=cfg.lr)
+        params = ppo_update(params, traj, cfg, np.random.default_rng(4), opt)
+        before = _state_bytes(params, opt)
+
+        broken = policy.clone_params(params)
+        getattr(broken, head)[1][0][5, 7] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite loss"):
+            ppo_update(broken, traj, cfg, np.random.default_rng(5), opt)
+        assert _state_bytes(params, opt) == before  # opt left as it was
+
+        # The next update, with the helper too, gets the bits of the plain loop.
+        ref_opt = copy.deepcopy(opt)
+        got = ppo_update(params, traj, cfg, np.random.default_rng(6), opt)
+        want = plain_ppo_update(params, traj, cfg, np.random.default_rng(6), ref_opt)
+        assert _state_bytes(got, opt) == _state_bytes(want, ref_opt)
 
 
 class TestLearnEpoch:
