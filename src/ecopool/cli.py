@@ -10,18 +10,17 @@ per-experiment run.log sidecar is the only place timestamps appear.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from .ecosystem import Strategy
 from .gridworld import GridConfig, generate_level, level_to_json, render_ascii, reset
 from .harness import (
-    METRICS_COLUMNS,
     ExperimentConfig,
     check_strategies,
     compare_suite,
@@ -99,21 +98,14 @@ def _resolve_config(args, strategy: Strategy | None) -> ExperimentConfig:
         cfg = ExperimentConfig(strategy=strategy)
     else:
         raise ValueError("either --config or --strategy is required")
-    overrides: dict = {}
-    if strategy is not None:
-        overrides["strategy"] = strategy
-    if args.envs is not None:
-        overrides["n_train_envs"] = args.envs
-    if args.runs is not None:
-        overrides["n_runs"] = args.runs
-    if args.eval_every is not None:
-        overrides["eval_every"] = args.eval_every
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    overrides = {
+        "strategy": strategy,
+        "n_train_envs": args.envs,
+        "n_runs": args.runs,
+        "eval_every": args.eval_every,
+        "budget": args.budget,
+    }
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _resolve_out(args, cfg: ExperimentConfig, default_name: str) -> Path:
@@ -124,9 +116,12 @@ def _resolve_out(args, cfg: ExperimentConfig, default_name: str) -> Path:
     return Path(os.environ.get("ECOPOOL_OUT", "runs")) / default_name
 
 
-def _run_log(out_dir: Path) -> logging.Handler:
-    """Sidecar log; the one output where timestamps are allowed."""
+@contextmanager
+def _experiment_dir(cfg: ExperimentConfig, out_dir: Path):
+    """Write config.json, and log the package to the run.log sidecar (the
+    one output where timestamps are allowed) while the block runs."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.json").write_text(json.dumps(config_to_json(cfg), indent=2) + "\n")
     handler = logging.FileHandler(out_dir / "run.log")
     handler.setFormatter(
         logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s")
@@ -134,27 +129,19 @@ def _run_log(out_dir: Path) -> logging.Handler:
     pkg_logger = logging.getLogger("ecopool")
     pkg_logger.setLevel(logging.INFO)
     pkg_logger.addHandler(handler)
-    return handler
-
-
-def _write_config(cfg: ExperimentConfig, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(
-        json.dumps(config_to_json(cfg), indent=2) + "\n"
-    )
+    try:
+        yield
+    finally:
+        pkg_logger.removeHandler(handler)
+        handler.close()
 
 
 def cmd_run(args) -> int:
     strategy = Strategy(args.strategy) if args.strategy else None
     cfg = _resolve_config(args, strategy)
     out = _resolve_out(args, cfg, f"run-{cfg.strategy.value}")
-    _write_config(cfg, out)
-    handler = _run_log(out)
-    try:
+    with _experiment_dir(cfg, out):
         runs = run_suite(cfg, out, jobs=args.jobs)
-    finally:
-        logging.getLogger("ecopool").removeHandler(handler)
-        handler.close()
     for run_seed, records in enumerate(runs):
         final = records[-1]
         print(
@@ -171,13 +158,8 @@ def cmd_compare(args) -> int:
     cfg = _resolve_config(args, strategies[0])
     name = "compare-" + "-".join(s.value for s in strategies)
     out = _resolve_out(args, cfg, name)
-    _write_config(cfg, out)
-    handler = _run_log(out)
-    try:
+    with _experiment_dir(cfg, out):
         aggregates = compare_suite(cfg, strategies, out, jobs=args.jobs)
-    finally:
-        logging.getLogger("ecopool").removeHandler(handler)
-        handler.close()
     for strategy in strategies:
         final = aggregates[strategy][-1]
         print(
@@ -232,18 +214,9 @@ def cmd_export(args) -> int:
     metrics_path = Path(args.run_dir) / "metrics.csv"
     if not metrics_path.exists():
         raise ValueError(f"no metrics at {metrics_path}")
-    records = load_metrics(metrics_path)
+    export_metrics(load_metrics(metrics_path), args.format, args.out)
     if args.out:
-        export_metrics(records, args.format, args.out)
         print(f"wrote {args.out}")
-        return 0
-    if args.format == "json":
-        print(json.dumps([asdict(r) for r in records], indent=2))
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(METRICS_COLUMNS)
-        for record in records:
-            writer.writerow([getattr(record, c) for c in METRICS_COLUMNS])
     return 0
 
 

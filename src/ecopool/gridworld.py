@@ -80,11 +80,19 @@ class Action(IntEnum):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Level dimensions and episode budget."""
+    """Level dimensions and episode budget; ValueError unless the sides
+    are odd and at least 9 and the budget is at least one step."""
 
     width: int = 9
     height: int = 9
     max_steps: int = 100
+
+    def __post_init__(self):
+        w, h = self.width, self.height
+        if w < 9 or h < 9 or w % 2 == 0 or h % 2 == 0:
+            raise ValueError(f"width and height must be odd and >= 9, got {w}x{h}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -128,14 +136,11 @@ def generate_level(seed: int, config: GridConfig = GridConfig()) -> Level:
     start cell, start direction, goal cell.  Goal placement rejects
     collisions with the start cell for a bounded number of retries.
 
-    Raises ValueError for even or too-small dimensions and RuntimeError if
-    a distinct goal cell cannot be placed.
+    `config` was checked when it was built.  Raises ValueError for a
+    negative seed and RuntimeError if a distinct goal cell cannot be
+    placed.
     """
     w, h = config.width, config.height
-    if w < 9 or h < 9 or w % 2 == 0 or h % 2 == 0:
-        raise ValueError(f"width and height must be odd and >= 9, got {w}x{h}")
-    if config.max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {config.max_steps}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative 64-bit integer, got {seed}")
 

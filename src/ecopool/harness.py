@@ -17,9 +17,8 @@ import csv
 import json
 import logging
 import multiprocessing
-import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -46,7 +45,11 @@ METRICS_COLUMNS = ("envs_seen",) + METRICS
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Key tree of the experiment config file; flags override any field."""
+    """Key tree of the experiment config file; flags override any field.
+
+    An instance is valid: building one, `dataclasses.replace` included,
+    runs `validate`, so a bad config is refused before any output exists.
+    """
 
     strategy: Strategy
     n_train_envs: int = 500
@@ -62,6 +65,9 @@ class ExperimentConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     ppo: PpoConfig = field(default_factory=PpoConfig)
     out_dir: str | None = None
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         for key in ("n_train_envs", "eval_every", "n_eval_envs", "n_runs", "budget"):
@@ -125,9 +131,7 @@ def config_from_json(data: dict) -> ExperimentConfig:
                 raise ValueError(f"config key {section!r} must be an object")
             _check_keys(kwargs[section], cls, f"{section}.")
             kwargs[section] = cls(**kwargs[section])
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -217,7 +221,6 @@ def execute_run(
     environment with (outcome, fresh audit events); both exist so
     callers can persist results as they appear.
     """
-    cfg.validate()
     pool = make_pool(
         cfg.strategy, threshold=cfg.threshold, grid=cfg.grid, seed=run_seed
     )
@@ -327,33 +330,37 @@ def aggregate_runs(runs: list[list[MetricsRecord]]) -> list[AggregateRecord]:
     return out
 
 
+def _dump_rows(fh, columns, rows, fmt: str) -> None:
+    if fmt == "csv":
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+    else:
+        json.dump([dict(zip(columns, row)) for row in rows], fh, indent=2)
+        fh.write("\n")
+
+
 def _write_rows(path, columns, rows, fmt: str) -> None:
+    """`rows` under a header of `columns` to `path`, or to stdout if None."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    if path is None:
+        return _dump_rows(sys.stdout, columns, rows, fmt)
     try:
         with open(path, "w", newline="") as fh:
-            if fmt == "csv":
-                writer = csv.writer(fh)
-                writer.writerow(columns)
-                writer.writerows(rows)
-            else:
-                json.dump(
-                    [dict(zip(columns, row)) for row in rows], fh, indent=2
-                )
-                fh.write("\n")
+            _dump_rows(fh, columns, rows, fmt)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def export_metrics(records: list[MetricsRecord], fmt: str, path) -> None:
-    """One row per checkpoint; CSV uses '.' decimals and no separators."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+def export_metrics(records: list[MetricsRecord], fmt: str, path=None) -> None:
+    """One row per checkpoint, to `path` or to stdout; CSV uses '.'
+    decimals and no separators."""
     rows = [[getattr(r, c) for c in METRICS_COLUMNS] for r in records]
     _write_rows(path, METRICS_COLUMNS, rows, fmt)
 
 
 def export_aggregate(records: list[AggregateRecord], fmt: str, path) -> None:
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     rows = [[getattr(r, c) for c in AGGREGATE_COLUMNS] for r in records]
     _write_rows(path, AGGREGATE_COLUMNS, rows, fmt)
 
@@ -403,22 +410,17 @@ def _log_to_files(files: list[tuple[str, logging.Formatter]], level: int) -> Non
         pkg_logger.addHandler(handler)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[list[MetricsRecord]]:
     """Records of each (cfg, run seed, run dir) task, in task order.
 
-    With `jobs` > 1 the tasks share one pool of spawned worker processes;
-    `jobs` == 1 runs them one after another in this process, and there,
-    in a program's main process that may use a second CPU, the critic
-    half of every update runs on a forked helper (see `critic_helper`).
-    Runs are independent (each owns its pool) and the split update is
-    exact, so results are identical either way.
+    With `jobs` > 1 the tasks share one pool of spawned worker processes,
+    which import the program's `__main__` module again: a script that
+    asks for them needs an `if __name__ == "__main__":` guard.  `jobs`
+    == 1 runs them one after another in this process, inside a
+    `critic_helper` block, which decides for itself whether the critic
+    half of every update runs on a forked helper.  Runs are independent
+    (each owns its pool) and the split update is exact, so results are
+    identical either way.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -436,12 +438,7 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[list[MetricsRecord]]:
             initargs=(files, pkg_logger.level),
         ) as pool:
             return list(pool.map(_suite_worker, tasks))
-    helper = (
-        multiprocessing.parent_process() is None
-        and "fork" in multiprocessing.get_all_start_methods()
-        and _usable_cpus() >= 2
-    )
-    with critic_helper() if helper else nullcontext():
+    with critic_helper():
         return [_suite_worker(task) for task in tasks]
 
 
@@ -450,9 +447,10 @@ def run_suite(
 ) -> list[list[MetricsRecord]]:
     """All n_runs runs of one strategy, plus the aggregate file.
 
-    `jobs` > 1 fans the runs out over processes (see `_run_tasks`).
+    `jobs` > 1 fans the runs out over spawned processes, which import
+    `__main__` again: call it with `jobs` > 1 only from under an
+    `if __name__ == "__main__":` guard (see `_run_tasks`).
     """
-    cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs = _run_tasks(_suite_tasks(cfg, out), jobs)
@@ -479,15 +477,14 @@ def compare_suite(
     Emits per-strategy suites (runs + aggregate), a combined per-checkpoint
     table, and one chart per metric.  Every (strategy, run seed) pair is one
     task of a single list, so `jobs` > 1 keeps all workers busy across
-    strategies; `jobs` == 1 runs each strategy's runs in turn.
+    strategies; `jobs` == 1 runs each strategy's runs in turn.  As for
+    `run_suite`, `jobs` > 1 needs an `if __name__ == "__main__":` guard.
     """
     check_strategies(strategies)
     out = Path(out_dir)
     tasks = []
     for strategy in strategies:
-        sub_cfg = replace(cfg, strategy=strategy)
-        sub_cfg.validate()
-        tasks += _suite_tasks(sub_cfg, out / strategy.value)
+        tasks += _suite_tasks(replace(cfg, strategy=strategy), out / strategy.value)
     runs = _run_tasks(tasks, jobs)
     aggregates: dict[Strategy, list[AggregateRecord]] = {}
     for i, strategy in enumerate(strategies):

@@ -331,62 +331,49 @@ def running_mean_params(
     )
 
 
+# Adam's moment decay rates and denominator floor, the common defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adaptive moment estimation over a PolicyParams vector.
 
-    Holds the first/second moment vectors, updated in place, and the step
-    counter; the parameters themselves are never mutated, `step` returns
-    a new PolicyParams.  Every new agent gets a fresh instance (moments do
-    not travel with copied weights).
+    The learning rate is its one setting; beta1, beta2 and eps are the
+    module's ADAM_* constants.  Holds the first/second moment vectors,
+    updated in place, and the step counter; the parameters themselves
+    are never mutated, `step` returns a new PolicyParams.  Every new
+    agent gets a fresh instance (moments do not travel with copied
+    weights).
     """
 
-    def __init__(
-        self,
-        params: PolicyParams,
-        lr: float = 3e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: PolicyParams, lr: float = 3e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = np.zeros_like(params.flat)
         self._v = np.zeros_like(params.flat)
 
     def step(self, params: PolicyParams, grads: PolicyParams) -> PolicyParams:
         self.t += 1
-        update = _adam_update(
-            self._m, self._v, grads.flat, self.t, self.lr, self.beta1, self.beta2, self.eps
-        )
+        update = _adam_update(self._m, self._v, grads.flat, self.t, self.lr)
         return PolicyParams.from_flat(params.flat - update, params.widths)
 
 
-def _adam_update(
-    m: np.ndarray,
-    v: np.ndarray,
-    g: np.ndarray,
-    t: int,
-    lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float,
-) -> np.ndarray:
+def _adam_update(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, lr: float) -> np.ndarray:
     """Adam's t-th step on one slice: folds the gradient `g` into the
     moments `m` and `v` in place and returns the amount to subtract from
     the weights.  Every operation is elementwise, so a slice of the
     vector gets the same bits as the whole."""
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    m *= beta1
-    m += (1 - beta1) * g
-    v *= beta2
-    v += (1 - beta2) * g**2
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g**2
     # This operation order is part of the results: an algebraically
     # equal form, such as folding lr into bc1, changes the last bits.
-    return lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def params_to_json(params: PolicyParams) -> dict:

@@ -12,9 +12,9 @@ can only cycle until `max_steps`.  A rollout forwards each state once.
 An update trains the actor and the critic in two loops over one
 minibatch schedule.  The networks share no weights and Adam is
 elementwise, so this gets the bits of one joint loop; inside a
-`critic_helper` block (the harness opens one for serial runs on a
-machine with a second CPU) the critic's loop runs on a forked helper
-process, in parallel with the actor's.
+`critic_helper` block (the harness opens one for serial runs) the
+critic's loop runs on a forked helper process, in parallel with the
+actor's, where the program may fork one and use a second CPU.
 
 Everything is deterministic given the RNG passed in; training a given
 agent on a given level is a pure function of (params, level, config,
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import signal
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -209,7 +210,7 @@ class _HeadJob:
     m: np.ndarray
     v: np.ndarray
     t: int
-    adam: tuple[float, float, float, float]  # lr, beta1, beta2, eps
+    lr: float
     spec: LossSpec
     columns: tuple[np.ndarray, ...]
     orders: list[np.ndarray]
@@ -238,16 +239,22 @@ def _train_head(job: _HeadJob, stop: Callable[[], bool] | None = None):
             if not all(map(math.isfinite, terms[-1])):
                 return flat, m, v, terms
             t += 1
-            flat -= _adam_update(m, v, g, t, *job.adam)
+            flat -= _adam_update(m, v, g, t, job.lr)
     return flat, m, v, terms
 
 
 class _Helper:
-    """This process's side of the pipe to the helper."""
+    """The helper process and this process's side of the pipe to it."""
 
-    def __init__(self, conn):
+    def __init__(self, conn, proc):
         self.conn = conn
+        self.proc = proc
         self.busy = False  # a job was sent and its reply is not read yet
+
+    def close(self) -> None:
+        """Close the pipe, which ends the helper, and join it; idempotent."""
+        self.conn.close()
+        self.proc.join()
 
     def free(self) -> bool:
         """Whether the helper can take a job now.  Reads and drops the
@@ -258,8 +265,15 @@ class _Helper:
         return not self.busy
 
 
-# Set while a `critic_helper` block is open.
+# Set while a `critic_helper` block has a live helper.
 _helper: _Helper | None = None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _serve(conn, parent_end) -> None:
@@ -287,27 +301,36 @@ def critic_helper():
     """Train the critic half of every `ppo_update` in this block on a
     forked helper process, while the actor half runs here.
 
-    If the helper's reply is not there when the actor is done (its core
-    is busy or slow), this process trains the critic itself and stops as
-    soon as the reply comes; both give the same bits, so an update never
-    waits on the helper for longer than the critic takes here.  The
-    helper is forked, so it shares this program's code without importing
-    `__main__` again; it exits when the block closes the pipe, and the
-    block joins it.
+    Only a program's main process, where fork exists and 2 or more CPUs
+    are usable, forks a helper; elsewhere the block does nothing, and a
+    block inside another shares the outer one's helper.  If the reply is
+    not there when the actor is done (the helper's core is busy or
+    slow), this process trains the critic itself and stops as soon as
+    the reply comes; both give the same bits.  A helper that dies is
+    dropped, and the block goes on inline.  Being forked, the helper
+    does not import `__main__` again; it exits when the block closes
+    the pipe, and the block joins it.
     """
     global _helper
+    if (
+        _helper is not None
+        or multiprocessing.parent_process() is not None
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or _usable_cpus() < 2
+    ):
+        yield
+        return
     ctx = multiprocessing.get_context("fork")
     conn, child_end = ctx.Pipe()
     proc = ctx.Process(target=_serve, args=(child_end, conn), daemon=True)
     proc.start()
     child_end.close()
-    _helper = _Helper(conn)
+    _helper = helper = _Helper(conn, proc)
     try:
         yield
     finally:
         _helper = None
-        conn.close()
-        proc.join()
+        helper.close()
 
 
 def ppo_update(
@@ -331,6 +354,7 @@ def ppo_update(
     A non-finite loss raises FloatingPointError and leaves `opt` as it
     was.
     """
+    global _helper
     n = len(traj)
     if n < cfg.minibatch_size:
         raise ValueError(
@@ -352,7 +376,7 @@ def ppo_update(
             opt._m[part].copy(),
             opt._v[part].copy(),
             opt.t,
-            (opt.lr, opt.beta1, opt.beta2, opt.eps),
+            opt.lr,
             spec,
             columns,
             orders,
@@ -363,19 +387,30 @@ def ppo_update(
     actor_job = job(
         _actor_grad, actor_part, params.widths[0], (traj.obs, traj.actions, traj.logp, advantages)
     )
-    critic_job = job(_critic_grad, critic_part, params.widths[1], (traj.obs, returns))
-    if _helper is not None and _helper.free():
-        _helper.conn.send(critic_job)
-        _helper.busy = True
-        actor = _train_head(actor_job)
-        critic = _train_head(critic_job, stop=_helper.conn.poll)
-        if critic is None:  # the helper's reply came first
-            critic = _helper.conn.recv()
-            _helper.busy = False
-            if isinstance(critic, Exception):
-                raise critic
-    else:
-        critic = _train_head(critic_job)
+
+    def critic_job():
+        return job(_critic_grad, critic_part, params.widths[1], (traj.obs, returns))
+
+    actor = critic = None
+    if _helper is not None:
+        try:
+            if _helper.free():
+                sent = critic_job()
+                _helper.conn.send(sent)
+                _helper.busy = True
+                actor = _train_head(actor_job)
+                critic = _train_head(sent, stop=_helper.conn.poll)
+                if critic is None:  # the helper's reply came first
+                    critic = _helper.conn.recv()
+                    _helper.busy = False
+        except (OSError, EOFError):  # the helper died: its job is trained here
+            _helper.close()
+            _helper = critic = None  # `sent` may be half trained, in place
+        if isinstance(critic, Exception):
+            raise critic
+    if critic is None:
+        critic = _train_head(critic_job())
+    if actor is None:
         actor = _train_head(actor_job)
 
     for actor_terms, critic_terms in zip(actor[3], critic[3]):

@@ -136,6 +136,24 @@ def test_minibatch_above_rollout_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("width", 10, "width and height must be odd and >= 9, got 10x9"),
+        ("max_steps", 0, "max_steps must be >= 1, got 0"),
+    ],
+)
+def test_bad_grid_exit_2_before_any_output(tmp_path, capsys, key, value, problem):
+    data = json.loads((CONFIGS / "tiny.json").read_text())
+    data["grid"][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "x"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_jobs_below_one_exit_2(tmp_path, capsys, command, jobs):
@@ -381,18 +399,31 @@ def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _tiny_digests(out, *flags):
+    argv = ["run", "--config", str(CONFIGS / "tiny.json"), "--out", str(out), *flags]
+    assert cli.main(argv) == 0
+    run_dir = out / "run_00"
+    return {
+        name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        for name in ("metrics.csv", "audit.jsonl", "pool/main.params.json")
+        if (run_dir / name).exists()
+    }
+
+
 def test_tiny_config_output_hashes(tmp_path):
     # The bytes every bit-exact change must keep.  A change that moves the
     # numbers on purpose updates these hashes and says so in CHANGES.md.
-    out = tmp_path / "tiny"
-    argv = ["run", "--config", str(CONFIGS / "tiny.json"), "--out", str(out)]
-    assert cli.main(argv) == 0
-    run_dir = out / "run_00"
-    digests = {
-        name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-        for name in ("metrics.csv", "audit.jsonl")
-    }
-    assert digests == {
+    assert _tiny_digests(tmp_path / "tiny") == {
         "metrics.csv": "380b3d2eeae4c5cf498e877a12fbe3b94ba8b9c6a3dfed3f7ab07cfa16b44b65",
         "audit.jsonl": "2c417d7b6d27afc0769c00454e0a3c09b1c75c22c704a62899ef84be2ca39542",
+    }
+
+
+def test_tiny_config_forked_output_hashes(tmp_path):
+    # The forked strategy: its running-mean main agent, and (with two
+    # usable CPUs) the critic helper.
+    assert _tiny_digests(tmp_path / "forked", "--strategy", "forked") == {
+        "metrics.csv": "e51e288dedc22129a2f7b4cfa613f7cab43530a8a10775265e0d9366b2aae06f",
+        "audit.jsonl": "fba07c02dfda1bbe330a3a90466b11118b1409c24d6f11b1245bd806a4993acb",
+        "pool/main.params.json": "0765eb51320929e3d6b72038c33e356366b8ab907b405cbedc482b40e1d22e3b",
     }

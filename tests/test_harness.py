@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecopool import ecosystem, harness
+from ecopool import ecosystem, harness, ppo
 from ecopool.ecosystem import Agent, EnvOutcome, Strategy, make_pool, save_pool
 from ecopool.gridworld import GridConfig, generate_level
 from ecopool.harness import (
@@ -198,16 +198,15 @@ def test_zeta_is_read_only(tmp_path):
 
 
 def test_config_overlapping_ranges_rejected():
-    cfg = ExperimentConfig(
-        strategy=Strategy.BASIC,
-        n_train_envs=100,
-        eval_every=50,
-        n_eval_envs=10,
-        train_seed_base=0,
-        eval_seed_base=50,
-    )
     with pytest.raises(ValueError, match="seed ranges overlap"):
-        cfg.validate()
+        ExperimentConfig(
+            strategy=Strategy.BASIC,
+            n_train_envs=100,
+            eval_every=50,
+            n_eval_envs=10,
+            train_seed_base=0,
+            eval_seed_base=50,
+        )
 
 
 def test_config_adjacent_ranges_ok():
@@ -222,16 +221,14 @@ def test_config_adjacent_ranges_ok():
 
 
 def test_config_eval_every_must_divide():
-    cfg = ExperimentConfig(strategy=Strategy.BASIC, n_train_envs=100, eval_every=30)
     with pytest.raises(ValueError, match="eval_every"):
-        cfg.validate()
+        ExperimentConfig(strategy=Strategy.BASIC, n_train_envs=100, eval_every=30)
 
 
 @pytest.mark.parametrize("key", ["n_train_envs", "eval_every", "n_eval_envs", "n_runs", "budget"])
 def test_config_positive_counts(key):
-    cfg = ExperimentConfig(strategy=Strategy.BASIC, **{key: 0})
     with pytest.raises(ValueError, match=key):
-        cfg.validate()
+        ExperimentConfig(strategy=Strategy.BASIC, **{key: 0})
 
 
 def test_config_json_round_trip():
@@ -635,7 +632,7 @@ def test_unguarded_script_runs_once_and_leaves_no_child(tmp_path):
     assert lines[0] == "top level" and len(lines) == 2
     updates, helper, left = lines[1].split()[1::2]
     assert int(updates) >= 1 and left == "False"
-    if harness._usable_cpus() >= 2:
+    if ppo._usable_cpus() >= 2:
         assert helper == "True"
 
 

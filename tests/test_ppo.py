@@ -1,7 +1,9 @@
 """Rollout collection, advantage estimation, updates, and evaluation."""
 
 import copy
+import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -279,6 +281,14 @@ class TestPpoUpdate:
             PpoConfig(rollout_steps=256, minibatch_size=512)
 
 
+def _open_helper():
+    """The helper of the open `critic_helper` block; skips the test where
+    the block forks none."""
+    if ppo._helper is None:
+        pytest.skip("no critic helper: it needs fork and 2 usable CPUs")
+    return ppo._helper
+
+
 @pytest.fixture(params=["inline", "helper"])
 def placement(request):
     """Each test runs once with both head loops here and once with the
@@ -288,12 +298,65 @@ def placement(request):
         yield request.param
     else:
         with ppo.critic_helper():
-            assert ppo._helper is not None
+            _open_helper()
             yield request.param
 
 
 def _state_bytes(params, opt):
     return params.flat.tobytes(), opt._m.tobytes(), opt._v.tobytes(), opt.t
+
+
+def _count_sends(monkeypatch, helper):
+    """The jobs sent to `helper` from now on."""
+    sent, send = [], helper.conn.send
+
+    def counting_send(job):
+        sent.append(job)
+        send(job)
+
+    monkeypatch.setattr(helper.conn, "send", counting_send)
+    return sent
+
+
+def _train(update, cfg, seed, pauses, before_update=lambda i: None):
+    """(params, opt) bytes after each of len(pauses) learn epochs on one
+    Adam, sleeping pauses[i] before the i-th."""
+    level, params = generate_level(seed), init_params(seed)
+    p, opt = params, policy.Adam(params, lr=cfg.lr)
+    rng = np.random.default_rng(seed)
+    trace = []
+    for i, pause in enumerate(pauses):
+        time.sleep(pause)
+        traj = collect_rollout(p, level, cfg.rollout_steps, rng)
+        before_update(i)
+        p = update(p, traj, cfg, rng, opt)
+        trace.append(_state_bytes(p, opt))
+    return trace
+
+
+# Jobs reach the helper pickled, their gradient functions by reference,
+# so the stand-ins below live at module level.
+_CALLER = os.getpid()
+
+
+def _critic_grad_fails_in_helper(*args):
+    if os.getpid() != _CALLER:
+        raise RuntimeError("critic failed in the helper")
+    return policy._critic_grad(*args)
+
+
+def _slow_actor_grad(*args):
+    time.sleep(0.05)
+    return policy._actor_grad(*args)
+
+
+def _critic_grad_dies_in_helper(*args):
+    # The helper dies mid-job, while this process is a few critic steps in.
+    if os.getpid() != _CALLER:
+        time.sleep(0.1)
+        os._exit(1)
+    time.sleep(0.04)
+    return policy._critic_grad(*args)
 
 
 class TestSplitUpdate:
@@ -336,32 +399,82 @@ class TestSplitUpdate:
 
         monkeypatch.setattr(ppo, "_train_head", slow_in_helper)
         cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
-        level, params = generate_level(3), init_params(3)
-
-        def train(update, pauses):
-            p, opt = params, policy.Adam(params, lr=cfg.lr)
-            rng = np.random.default_rng(3)
-            trace = []
-            for pause in pauses:
-                time.sleep(pause)
-                traj = collect_rollout(p, level, cfg.rollout_steps, rng)
-                p = update(p, traj, cfg, rng, opt)
-                trace.append(_state_bytes(p, opt))
-            return trace
-
-        want = train(plain_ppo_update, [0.0] * 4)
+        want = _train(plain_ppo_update, cfg, 3, [0.0] * 4)
         with ppo.critic_helper():
-            conn, sent = ppo._helper.conn, []
-            send = conn.send
-
-            def counting_send(job):
-                sent.append(job)
-                send(job)
-
-            monkeypatch.setattr(conn, "send", counting_send)
-            assert train(ppo_update, [0.0, 0.0, 0.5, 0.0]) == want
+            sent = _count_sends(monkeypatch, _open_helper())
+            assert _train(ppo_update, cfg, 3, [0.0, 0.0, 0.5, 0.0]) == want
             assert ppo._helper.busy
         assert len(sent) == 2  # the first update, and the third after the pause
+
+    @pytest.mark.parametrize("where", ["one usable CPU", "a child process"])
+    def test_no_helper_outside_a_two_cpu_main_process(self, monkeypatch, where):
+        if where == "one usable CPU":
+            monkeypatch.setattr(ppo, "_usable_cpus", lambda: 1)
+        else:
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        with ppo.critic_helper():
+            assert ppo._helper is None
+            assert multiprocessing.active_children() == []
+
+    def test_nested_block_shares_the_helper(self, monkeypatch):
+        cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
+        want = _train(plain_ppo_update, cfg, 3, [0.0])
+        with ppo.critic_helper():
+            outer = _open_helper()
+            with ppo.critic_helper():
+                assert ppo._helper is outer
+                assert multiprocessing.active_children() == [outer.proc]
+            assert ppo._helper is outer and outer.proc.is_alive()
+            sent = _count_sends(monkeypatch, outer)
+            assert _train(ppo_update, cfg, 3, [0.0]) == want
+            assert len(sent) == 1
+
+    def test_killed_helper_is_dropped(self):
+        # A helper killed between updates: the next update trains the
+        # critic here, and the dead helper is reaped.
+        cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
+        want = _train(plain_ppo_update, cfg, 4, [0.0] * 4)
+        with ppo.critic_helper():
+            pid = _open_helper().proc.pid
+
+            def kill_before_third(i):
+                if i == 2:
+                    os.kill(pid, signal.SIGKILL)
+
+            assert _train(ppo_update, cfg, 4, [0.0] * 4, kill_before_third) == want
+            assert ppo._helper is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+        assert multiprocessing.active_children() == []
+
+    def test_helper_dying_mid_update_is_dropped(self, monkeypatch):
+        # The critic this process had begun changed its job in place; the
+        # critic it trains after the helper died starts afresh.
+        monkeypatch.setattr(ppo, "_critic_grad", _critic_grad_dies_in_helper)
+        cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
+        want = _train(plain_ppo_update, cfg, 5, [0.0] * 2)
+        with ppo.critic_helper():
+            pid = _open_helper().proc.pid
+            assert _train(ppo_update, cfg, 5, [0.0] * 2) == want
+            assert ppo._helper is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_helper_exception_reaches_caller(self, monkeypatch):
+        # The actor is slowed so that the helper's reply, its exception,
+        # is the one taken.
+        monkeypatch.setattr(ppo, "_critic_grad", _critic_grad_fails_in_helper)
+        monkeypatch.setattr(ppo, "_actor_grad", _slow_actor_grad)
+        cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
+        params = init_params(6)
+        traj = collect_rollout(params, generate_level(6), cfg.rollout_steps, np.random.default_rng(6))
+        opt = policy.Adam(params, lr=cfg.lr)
+        with ppo.critic_helper():
+            helper = _open_helper()
+            with pytest.raises(RuntimeError, match="critic failed in the helper"):
+                ppo_update(params, traj, cfg, np.random.default_rng(7), opt)
+            assert ppo._helper is helper and not helper.busy
+        assert _state_bytes(params, opt) == _state_bytes(params, policy.Adam(params, lr=cfg.lr))
 
     @pytest.mark.parametrize("head", ["actor", "critic"])
     def test_non_finite_weight_raises(self, placement, head):
