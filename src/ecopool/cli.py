@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 2 on usage or config errors, 1 on runtime
 failures.  The default output root is ./runs, overridable with the
-ECOPOOL_OUT environment variable; --out and the config's out_dir take
-precedence over both.  Output files carry no wall-clock values; the
-per-experiment run.log sidecar is the only place timestamps appear.
+ECOPOOL_OUT environment variable; --out takes precedence over both.
+Output files carry no wall-clock values; the per-experiment run.log
+sidecar is the only place timestamps appear.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .ecosystem import Strategy
+from .ecosystem import Strategy, read_manifest
 from .gridworld import GridConfig, generate_level, level_to_json, render_ascii, reset
 from .harness import (
     ExperimentConfig,
@@ -108,11 +108,9 @@ def _resolve_config(args, strategy: Strategy | None) -> ExperimentConfig:
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _resolve_out(args, cfg: ExperimentConfig, default_name: str) -> Path:
+def _resolve_out(args, default_name: str) -> Path:
     if args.out:
         return Path(args.out)
-    if cfg.out_dir:
-        return Path(cfg.out_dir)
     return Path(os.environ.get("ECOPOOL_OUT", "runs")) / default_name
 
 
@@ -139,7 +137,7 @@ def _experiment_dir(cfg: ExperimentConfig, out_dir: Path):
 def cmd_run(args) -> int:
     strategy = Strategy(args.strategy) if args.strategy else None
     cfg = _resolve_config(args, strategy)
-    out = _resolve_out(args, cfg, f"run-{cfg.strategy.value}")
+    out = _resolve_out(args, f"run-{cfg.strategy.value}")
     with _experiment_dir(cfg, out):
         runs = run_suite(cfg, out, jobs=args.jobs)
     for run_seed, records in enumerate(runs):
@@ -157,7 +155,7 @@ def cmd_compare(args) -> int:
     check_strategies(strategies)
     cfg = _resolve_config(args, strategies[0])
     name = "compare-" + "-".join(s.value for s in strategies)
-    out = _resolve_out(args, cfg, name)
+    out = _resolve_out(args, name)
     with _experiment_dir(cfg, out):
         aggregates = compare_suite(cfg, strategies, out, jobs=args.jobs)
     for strategy in strategies:
@@ -184,28 +182,23 @@ def cmd_show_env(args) -> int:
 
 
 def cmd_inspect_pool(args) -> int:
-    root = Path(args.checkpoint)
-    manifest_path = root / "pool.json" if root.is_dir() else root
-    if not manifest_path.exists():
-        raise ValueError(f"no pool checkpoint at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(args.checkpoint)
     if args.json:
-        print(json.dumps(manifest, indent=2))
+        print(json.dumps(manifest.to_json(), indent=2))
         return 0
-    grid = manifest["grid"]
-    print(f"strategy:  {manifest['strategy']}")
-    print(f"threshold: {manifest['threshold']}")
-    print(f"grid:      {grid['width']}x{grid['height']}, {grid['max_steps']} steps")
-    print(f"agents:    {len(manifest['agents'])}")
-    print(f"main:      {'yes' if manifest['main_agent_ref'] else 'no'}")
-    for agent in manifest["agents"]:
-        solved = agent["solved"]
-        shown = ", ".join(str(s) for s in solved[:8])
-        if len(solved) > 8:
+    grid = manifest.grid
+    print(f"strategy:  {manifest.strategy.value}")
+    print(f"threshold: {manifest.threshold}")
+    print(f"grid:      {grid.width}x{grid.height}, {grid.max_steps} steps")
+    print(f"agents:    {len(manifest.agents)}")
+    print(f"main:      {'yes' if manifest.main_agent_ref else 'no'}")
+    for agent in manifest.agents:
+        shown = ", ".join(str(s) for s in agent.solved[:8])
+        if len(agent.solved) > 8:
             shown += ", ..."
         print(
-            f"  agent {agent['id']}: {len(solved)} solved [{shown}] "
-            f"(born on {agent['birth_env']})"
+            f"  agent {agent.id}: {len(agent.solved)} solved [{shown}] "
+            f"(born on {agent.birth_env})"
         )
     return 0
 
@@ -228,10 +221,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 1

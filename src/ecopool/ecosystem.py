@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -339,6 +339,106 @@ POOL_FILE = "pool.json"
 _CHECKPOINT_VERSION = 1
 
 
+@dataclass(frozen=True)
+class AgentEntry:
+    """One agent in pool.json; its weights are in the file `params_ref`."""
+
+    id: int
+    solved: list[int]
+    birth_env: int
+    params_ref: str
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A checkpoint's pool.json: the pool without its weights.  A file
+    written before the running mean has no `forks_absorbed`; 0 restarts
+    the mean at the next absorbed fork."""
+
+    strategy: Strategy
+    threshold: float
+    grid: GridConfig
+    next_id: int
+    agents: list[AgentEntry]
+    main_agent_ref: str | None
+    forks_absorbed: int = 0
+
+    def to_json(self) -> dict:
+        data = {"version": _CHECKPOINT_VERSION, **asdict(self)}
+        return dict(data, strategy=self.strategy.value)
+
+
+def read_json(path, what: str):
+    """The JSON in file `path`; ValueError, naming `what`, if unreadable."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def checked_fields(cls, data, what: str, path: str = "") -> dict:
+    """The JSON object `data` as keyword arguments of dataclass `cls`.
+
+    ValueError names, as `what` key `path`+key, an unknown key, the
+    missing key of a field without a default, or a value whose type is
+    not its field default's (an int passes for a float).
+    """
+    if not isinstance(data, dict):
+        where = f"{what} key {path[:-1]!r}" if path else what
+        raise ValueError(f"{where} must be an object")
+    known = {f.name: f for f in fields(cls)}
+    for key, value in data.items():
+        if key not in known:
+            raise ValueError(f"unknown {what} key {path}{key!r}")
+        if known[key].default is MISSING:
+            continue
+        kind = type(known[key].default)
+        ok = (int, float) if kind is float else (kind,)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, ok):
+            raise ValueError(f"wrong type for {what} key {path}{key!r}: {value!r}")
+    for f in known.values():
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.name not in data:
+            raise ValueError(f"missing {what} key {path}{f.name!r}")
+    return dict(data)
+
+
+def read_manifest(path) -> Manifest:
+    """The pool.json of a checkpoint directory (or the file itself), checked.
+
+    ValueError names the problem: an unreadable file, an unsupported
+    version, a missing or unknown key, an unknown strategy, a grid
+    `GridConfig` refuses, or a forked pool without a main agent.
+    """
+    path = Path(path)
+    if path.is_dir():
+        path = path / POOL_FILE
+    data = read_json(path, "pool checkpoint")
+    data = dict(data) if isinstance(data, dict) else {}
+    version = data.pop("version", None)
+    if version != _CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported pool version {version!r} in {path}")
+    try:
+        kwargs = checked_fields(Manifest, data, POOL_FILE)
+        kwargs["strategy"] = Strategy(kwargs["strategy"])
+        grid = checked_fields(GridConfig, kwargs["grid"], POOL_FILE, "grid.")
+        kwargs["grid"] = GridConfig(**grid)
+        kwargs["agents"] = [
+            AgentEntry(**checked_fields(AgentEntry, entry, POOL_FILE, "agents."))
+            for entry in kwargs["agents"]
+        ]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad pool checkpoint {path}: {exc}") from exc
+    manifest = Manifest(**kwargs)
+    if manifest.strategy is Strategy.FORKED and manifest.main_agent_ref is None:
+        raise ValueError(f"forked pool checkpoint {path} has no main agent")
+    return manifest
+
+
 def save_pool(pool: Pool, out_dir) -> None:
     """Checkpoint: pool.json plus one params file per agent (and main agent)."""
     out = Path(out_dir)
@@ -347,67 +447,39 @@ def save_pool(pool: Pool, out_dir) -> None:
     for agent in pool.agents:
         ref = f"agent_{agent.id}.params.json"
         (out / ref).write_text(json.dumps(params_to_json(agent.params)))
-        agents.append(
-            {
-                "id": agent.id,
-                "solved": list(agent.solved),
-                "birth_env": agent.birth_env,
-                "params_ref": ref,
-            }
-        )
+        agents.append(AgentEntry(agent.id, list(agent.solved), agent.birth_env, ref))
     main_ref = None
     if pool.main_agent is not None:
         main_ref = "main.params.json"
         (out / main_ref).write_text(json.dumps(params_to_json(pool.main_agent)))
-    manifest = {
-        "version": _CHECKPOINT_VERSION,
-        "strategy": pool.strategy.value,
-        "threshold": pool.threshold,
-        "grid": {
-            "width": pool.grid.width,
-            "height": pool.grid.height,
-            "max_steps": pool.grid.max_steps,
-        },
-        "next_id": pool.next_id,
-        "agents": agents,
-        "main_agent_ref": main_ref,
-        "forks_absorbed": pool.forks_absorbed,
-    }
-    (out / POOL_FILE).write_text(json.dumps(manifest, indent=2))
-
-
-def load_pool(in_dir, seed: int = 0) -> Pool:
-    """Rebuild a pool from `save_pool` output; RNG state starts fresh."""
-    src = Path(in_dir)
-    manifest = json.loads((src / POOL_FILE).read_text())
-    if manifest.get("version") != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported pool version {manifest.get('version')!r}")
-
-    grid = GridConfig(**manifest["grid"])
-    pool = Pool(
-        strategy=Strategy(manifest["strategy"]),
-        threshold=manifest["threshold"],
-        grid=grid,
-        rng=np.random.default_rng(seed),
-        next_id=manifest["next_id"],
-        # Checkpoints written before the running mean carry no count; 0
-        # restarts the mean at the next absorbed fork.
-        forks_absorbed=manifest.get("forks_absorbed", 0),
+    manifest = Manifest(
+        pool.strategy, pool.threshold, pool.grid, pool.next_id, agents, main_ref,
+        pool.forks_absorbed,
     )
-    for entry in manifest["agents"]:
-        params = params_from_json(json.loads((src / entry["params_ref"]).read_text()))
-        pool.agents.append(
-            Agent(
-                id=entry["id"],
-                params=params,
-                solved=list(entry["solved"]),
-                birth_env=entry["birth_env"],
-            )
-        )
-    if manifest["main_agent_ref"] is not None:
-        pool.main_agent = params_from_json(
-            json.loads((src / manifest["main_agent_ref"]).read_text())
-        )
-    if pool.strategy is Strategy.FORKED and pool.main_agent is None:
-        raise ValueError("forked pool checkpoint has no main agent")
+    (out / POOL_FILE).write_text(json.dumps(manifest.to_json(), indent=2))
+
+
+def load_pool(in_dir) -> Pool:
+    """Rebuild a pool from `save_pool` output through `read_manifest`.
+    The RNG starts from seed 0, not where the saved pool's had got to."""
+    src = Path(in_dir)
+    manifest = read_manifest(src)
+
+    def params(ref: str) -> PolicyParams:
+        return params_from_json(json.loads((src / ref).read_text()))
+
+    pool = Pool(
+        strategy=manifest.strategy,
+        threshold=manifest.threshold,
+        grid=manifest.grid,
+        rng=np.random.default_rng(0),
+        next_id=manifest.next_id,
+        forks_absorbed=manifest.forks_absorbed,
+    )
+    pool.agents = [
+        Agent(e.id, params(e.params_ref), list(e.solved), e.birth_env)
+        for e in manifest.agents
+    ]
+    if manifest.main_agent_ref is not None:
+        pool.main_agent = params(manifest.main_agent_ref)
     return pool

@@ -19,7 +19,7 @@ import logging
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,10 @@ from .ecosystem import (
     EnvOutcome,
     Pool,
     Strategy,
+    checked_fields,
     ecosystem_learn,
     make_pool,
+    read_json,
     save_pool,
 )
 from .gridworld import GridConfig, Level, generate_level
@@ -45,7 +47,9 @@ METRICS_COLUMNS = ("envs_seen",) + METRICS
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Key tree of the experiment config file; flags override any field.
+    """Key tree of the experiment config file.  The `run` and `compare`
+    flags override the strategy, the counts and the budget; the output
+    directory is not a key (`--out` or ECOPOOL_OUT set it).
 
     An instance is valid: building one, `dataclasses.replace` included,
     runs `validate`, so a bad config is refused before any output exists.
@@ -61,10 +65,8 @@ class ExperimentConfig:
     threshold: float = DEFAULT_THRESHOLD
     budget: int = DEFAULT_BUDGET
     optimize_pool: bool = True
-    zeta_mean_over_pool: bool = False
     grid: GridConfig = field(default_factory=GridConfig)
     ppo: PpoConfig = field(default_factory=PpoConfig)
-    out_dir: str | None = None
 
     def __post_init__(self):
         self.validate()
@@ -103,47 +105,20 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
     return data
 
 
-def _check_keys(values: dict, cls, prefix: str = "") -> None:
-    """Every key names a field of `cls`, and a value has the type of its
-    field's default: an int passes for a float, a string for a null."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    for key, value in values.items():
-        if key not in defaults:
-            raise ValueError(f"unknown config key {prefix}{key!r}")
-        if defaults[key] is MISSING:
-            continue
-        kind = type(defaults[key])
-        ok = {float: (int, float), type(None): (str, kind)}.get(kind, (kind,))
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, ok):
-            raise ValueError(f"wrong type for config key {prefix}{key!r}: {value!r}")
-
-
 def config_from_json(data: dict) -> ExperimentConfig:
-    """Strict parse: an unknown key or a mistyped value is an error naming it."""
-    _check_keys(data, ExperimentConfig)
-    if "strategy" not in data:
-        raise ValueError("missing config key 'strategy'")
-    kwargs = dict(data)
+    """Strict parse: an unknown, missing or mistyped key is an error naming it."""
+    kwargs = checked_fields(ExperimentConfig, data, "config")
     kwargs["strategy"] = Strategy(kwargs["strategy"])
     for section, cls in (("grid", GridConfig), ("ppo", PpoConfig)):
         if section in kwargs:
-            if not isinstance(kwargs[section], dict):
-                raise ValueError(f"config key {section!r} must be an object")
-            _check_keys(kwargs[section], cls, f"{section}.")
-            kwargs[section] = cls(**kwargs[section])
+            kwargs[section] = cls(
+                **checked_fields(cls, kwargs[section], "config", f"{section}.")
+            )
     return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_json(data)
+    return config_from_json(read_json(path, "config"))
 
 
 @dataclass(frozen=True)
@@ -186,17 +161,14 @@ class RunResult:
     outcomes: list[EnvOutcome]
 
 
-def adaptability_index(
-    pool: Pool, eval_levels: list[Level], mean_over_pool: bool = False
-) -> float:
+def adaptability_index(pool: Pool, eval_levels: list[Level]) -> float:
     """Mean over held-out levels of the pool's per-level reward.
 
     Per level the eco-system's reward is the maximum over its agents'
-    greedy test episodes (it solves environments through its best
-    member); `mean_over_pool` switches to the average agent instead, for
-    sensitivity analysis.  Evaluation is read-only: nothing in the pool
-    changes, and the calls are not charged to the pool's test counter.
-    An empty pool scores 0 on every level.
+    greedy test episodes: it solves environments through its best
+    member.  Evaluation is read-only: nothing in the pool changes, and
+    the calls are not charged to the pool's test counter.  An empty pool
+    scores 0 on every level.
     """
     if not eval_levels:
         raise ValueError("eval_levels must be non-empty")
@@ -204,8 +176,7 @@ def adaptability_index(
     for level in eval_levels:
         if not pool.agents:
             continue
-        rewards = [test_agent(agent.params, level) for agent in pool.agents]
-        total += max(rewards) if not mean_over_pool else sum(rewards) / len(rewards)
+        total += max(test_agent(agent.params, level) for agent in pool.agents)
     return total / len(eval_levels)
 
 
@@ -250,9 +221,7 @@ def execute_run(
         if (i + 1) % cfg.eval_every == 0:
             record = MetricsRecord(
                 envs_seen=i + 1,
-                zeta=adaptability_index(
-                    pool, eval_levels, mean_over_pool=cfg.zeta_mean_over_pool
-                ),
+                zeta=adaptability_index(pool, eval_levels),
                 pool_size=len(pool.agents),
                 cum_steps=cum_steps,
                 cum_tests=pool.tests_total,
@@ -360,22 +329,31 @@ def export_metrics(records: list[MetricsRecord], fmt: str, path=None) -> None:
     _write_rows(path, METRICS_COLUMNS, rows, fmt)
 
 
-def export_aggregate(records: list[AggregateRecord], fmt: str, path) -> None:
+def export_aggregate(records: list[AggregateRecord], path) -> None:
+    """One CSV row per checkpoint, to `path`."""
     rows = [[getattr(r, c) for c in AGGREGATE_COLUMNS] for r in records]
-    _write_rows(path, AGGREGATE_COLUMNS, rows, fmt)
+    _write_rows(path, AGGREGATE_COLUMNS, rows, "csv")
 
 
 _INT_COLUMNS = ("envs_seen", "pool_size", "cum_steps", "cum_tests", "failures")
 
 
 def load_metrics(path) -> list[MetricsRecord]:
-    """Inverse of export_metrics for both formats (by file extension)."""
+    """Inverse of export_metrics for both formats (by file extension);
+    ValueError names the columns a file lacks."""
     path = Path(path)
     if path.suffix == ".json":
         entries = json.loads(path.read_text())
+        headers = [entry.keys() for entry in entries]
     else:
         with open(path, newline="") as fh:
-            entries = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            entries = list(reader)
+        headers = [reader.fieldnames or ()]
+    for header in headers:
+        missing = [c for c in METRICS_COLUMNS if c not in header]
+        if missing:
+            raise ValueError(f"{path} lacks metrics column {', '.join(missing)}")
     records = []
     for entry in entries:
         records.append(
@@ -454,7 +432,7 @@ def run_suite(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs = _run_tasks(_suite_tasks(cfg, out), jobs)
-    export_aggregate(aggregate_runs(runs), "csv", out / "aggregate.csv")
+    export_aggregate(aggregate_runs(runs), out / "aggregate.csv")
     return runs
 
 
@@ -490,9 +468,7 @@ def compare_suite(
     for i, strategy in enumerate(strategies):
         suite = runs[i * cfg.n_runs : (i + 1) * cfg.n_runs]
         aggregates[strategy] = aggregate_runs(suite)
-        export_aggregate(
-            aggregates[strategy], "csv", out / strategy.value / "aggregate.csv"
-        )
+        export_aggregate(aggregates[strategy], out / strategy.value / "aggregate.csv")
 
     columns = ["envs_seen"]
     for strategy in strategies:

@@ -65,6 +65,9 @@ class PpoConfig:
     entropy_coef: float = 0.01
 
     def __post_init__(self):
+        for key in ("lr", "epsilon", "value_coef", "entropy_coef"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if not 0.0 <= self.lam <= 1.0:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ecopool import cli, harness
-from ecopool.ecosystem import Strategy
+from ecopool.ecosystem import Strategy, make_pool, save_pool
 from ecopool.gridworld import generate_level, level_from_json
 from ecopool.harness import ExperimentConfig, config_to_json, load_metrics
 
@@ -61,6 +61,28 @@ def test_run_writes_expected_files(fake_training, tmp_path, capsys):
     assert (out / "run.log").exists()
     stdout = capsys.readouterr().out
     assert "run 0:" in stdout and "run 1:" in stdout
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("ppo", key, value)
+        for key in ("lr", "epsilon", "value_coef", "entropy_coef")
+        for value in (float("nan"), float("inf"))
+    ]
+    + [(None, "zeta_mean_over_pool", False), (None, "out_dir", None)],
+)
+def test_run_refuses_bad_config_before_writing(tmp_path, capsys, section, key, value):
+    # NaN and Infinity reach the config as JSON literals; the two keys
+    # are settings the config no longer has.
+    data = json.loads((CONFIGS / "tiny.json").read_text())
+    (data[section] if section else data)[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "exp"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_requires_strategy_or_config(tmp_path, capsys):
@@ -328,6 +350,26 @@ def test_inspect_pool(fake_training, tmp_path, capsys):
     assert cli.main(["inspect-pool", str(tmp_path / "nope")]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda m: m.update(version=2), "unsupported pool version 2"),
+        (lambda m: m.update(main_agent_ref=None), "has no main agent"),
+        (lambda m: m.pop("grid"), "missing pool.json key 'grid'"),
+    ],
+)
+def test_inspect_pool_refuses_bad_manifest(tmp_path, capsys, edit, named):
+    save_pool(make_pool(Strategy.FORKED), tmp_path)
+    manifest = json.loads((tmp_path / "pool.json").read_text())
+    edit(manifest)
+    (tmp_path / "pool.json").write_text(json.dumps(manifest))
+    for flags in ([], ["--json"]):
+        assert cli.main(["inspect-pool", str(tmp_path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
+
 def test_export_stdout_and_file(fake_training, tmp_path, capsys):
     out = tmp_path / "exp"
     cli.main(_run_args(out, extra=["--runs", "1"]))
@@ -349,6 +391,19 @@ def test_export_stdout_and_file(fake_training, tmp_path, capsys):
     assert load_metrics(target) == load_metrics(run_dir / "metrics.csv")
 
     assert cli.main(["export", str(tmp_path)]) == 2
+
+
+def test_export_names_missing_column(fake_training, tmp_path, capsys):
+    out = tmp_path / "exp"
+    cli.main(_run_args(out, extra=["--runs", "1"]))
+    capsys.readouterr()
+    metrics = out / "run_00" / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    metrics.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+    assert cli.main(["export", str(out / "run_00")]) == 2
+    captured = capsys.readouterr()
+    assert "lacks metrics column failures" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------- entry point

@@ -523,3 +523,21 @@ class TestCheckpoint:
         (tmp_path / "pool.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError):
             load_pool(tmp_path)
+
+    def test_manifest_without_a_key_rejected(self, tmp_path):
+        import json
+        import re
+
+        pool, _ = _pool_with_agents(Strategy.BASIC, [{}])
+        save_pool(pool, tmp_path)
+        saved = json.loads((tmp_path / "pool.json").read_text())
+        required = [key for key in saved if key not in ("version", "forks_absorbed")]
+        cases = [(saved, key, "") for key in required]
+        cases.append((saved["agents"][0], "id", "agents."))
+        for holder, key, path in cases:
+            value = holder.pop(key)
+            (tmp_path / "pool.json").write_text(json.dumps(saved))
+            named = re.escape(f"missing pool.json key {path}{key!r}")
+            with pytest.raises(ValueError, match=named):
+                load_pool(tmp_path)
+            holder[key] = value
