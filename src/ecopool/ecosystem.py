@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import MISSING, asdict, dataclass, field, fields
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -351,9 +352,7 @@ class AgentEntry:
 
 @dataclass(frozen=True)
 class Manifest:
-    """A checkpoint's pool.json: the pool without its weights.  A file
-    written before the running mean has no `forks_absorbed`; 0 restarts
-    the mean at the next absorbed fork."""
+    """A checkpoint's pool.json: the pool without its weights."""
 
     strategy: Strategy
     threshold: float
@@ -361,7 +360,7 @@ class Manifest:
     next_id: int
     agents: list[AgentEntry]
     main_agent_ref: str | None
-    forks_absorbed: int = 0
+    forks_absorbed: int
 
     def to_json(self) -> dict:
         data = {"version": _CHECKPOINT_VERSION, **asdict(self)}
@@ -380,39 +379,62 @@ def read_json(path, what: str):
         raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def checked_fields(cls, data, what: str, path: str = "") -> dict:
-    """The JSON object `data` as keyword arguments of dataclass `cls`.
+def from_json(cls, data, what: str, path: str = "", partial: bool = True):
+    """The JSON object `data` as an instance of dataclass `cls`.
 
-    ValueError names, as `what` key `path`+key, an unknown key, the
-    missing key of a field without a default, or a value whose type is
-    not its field default's (an int passes for a float).
+    Each key's type comes from its field's annotation, followed into
+    nested dataclasses, `list[...]`, enums and `X | None`; an int passes
+    for a float.  A key may be left out only when `partial` is set and its
+    field has a default.  ValueError names, as `what` key `path`+key, an
+    unknown, missing or mistyped key; the instance may refuse its values.
     """
     if not isinstance(data, dict):
         where = f"{what} key {path[:-1]!r}" if path else what
         raise ValueError(f"{where} must be an object")
-    known = {f.name: f for f in fields(cls)}
-    for key, value in data.items():
-        if key not in known:
-            raise ValueError(f"unknown {what} key {path}{key!r}")
-        if known[key].default is MISSING:
-            continue
-        kind = type(known[key].default)
-        ok = (int, float) if kind is float else (kind,)
+
+    def typed(kind, value, key: str):
+        options = typing.get_args(kind)
+        if type(None) in options:
+            if value is None:
+                return None
+            (kind,) = (k for k in options if k is not type(None))
+        if is_dataclass(kind):
+            return from_json(kind, value, what, f"{path}{key}.", partial)
+        origin = typing.get_origin(kind) or kind
+        if issubclass(origin, Enum):
+            try:
+                return kind(value)
+            except ValueError as exc:
+                raise ValueError(f"{what} key {path}{key!r}: {exc}") from None
+        ok = (int, float) if kind is float else (origin,)
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, ok):
             raise ValueError(f"wrong type for {what} key {path}{key!r}: {value!r}")
-    for f in known.values():
+        if origin is list:
+            return [typed(typing.get_args(kind)[0], v, key) for v in value]
+        return value
+
+    kinds = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        if key not in kinds:
+            raise ValueError(f"unknown {what} key {path}{key!r}")
+        kwargs[key] = typed(kinds[key], value, key)
+    for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING
-        if required and f.name not in data:
+        if f.name not in data and (required or not partial):
             raise ValueError(f"missing {what} key {path}{f.name!r}")
-    return dict(data)
+    return cls(**kwargs)
 
 
 def read_manifest(path) -> Manifest:
     """The pool.json of a checkpoint directory (or the file itself), checked.
 
-    ValueError names the problem: an unreadable file, an unsupported
-    version, a missing or unknown key, an unknown strategy, a grid
-    `GridConfig` refuses, or a forked pool without a main agent.
+    Every key but `forks_absorbed` is required, the grid's three included;
+    each value must have its field's type, and every params ref must be a
+    bare file name inside the checkpoint.  ValueError names the problem:
+    an unreadable file, an unsupported version, a missing, unknown or
+    mistyped key, an unknown strategy, a grid `GridConfig` refuses, a ref
+    outside the checkpoint, or a forked pool without a main agent.
     """
     path = Path(path)
     if path.is_dir():
@@ -422,18 +444,15 @@ def read_manifest(path) -> Manifest:
     version = data.pop("version", None)
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported pool version {version!r} in {path}")
+    # A file written before the running mean: 0 restarts it at the next fork.
+    data.setdefault("forks_absorbed", 0)
     try:
-        kwargs = checked_fields(Manifest, data, POOL_FILE)
-        kwargs["strategy"] = Strategy(kwargs["strategy"])
-        grid = checked_fields(GridConfig, kwargs["grid"], POOL_FILE, "grid.")
-        kwargs["grid"] = GridConfig(**grid)
-        kwargs["agents"] = [
-            AgentEntry(**checked_fields(AgentEntry, entry, POOL_FILE, "agents."))
-            for entry in kwargs["agents"]
-        ]
+        manifest = from_json(Manifest, data, POOL_FILE, partial=False)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad pool checkpoint {path}: {exc}") from exc
-    manifest = Manifest(**kwargs)
+    for ref in [e.params_ref for e in manifest.agents] + [manifest.main_agent_ref]:
+        if ref is not None and (ref in ("", "..") or Path(ref).name != ref):
+            raise ValueError(f"pool checkpoint {path} refers outside itself: {ref!r}")
     if manifest.strategy is Strategy.FORKED and manifest.main_agent_ref is None:
         raise ValueError(f"forked pool checkpoint {path} has no main agent")
     return manifest
@@ -466,7 +485,10 @@ def load_pool(in_dir) -> Pool:
     manifest = read_manifest(src)
 
     def params(ref: str) -> PolicyParams:
-        return params_from_json(json.loads((src / ref).read_text()))
+        try:
+            return params_from_json(json.loads((src / ref).read_text()))
+        except ValueError as exc:
+            raise ValueError(f"bad params file {src / ref}: {exc}") from exc
 
     pool = Pool(
         strategy=manifest.strategy,

@@ -18,6 +18,7 @@ import json
 import logging
 import multiprocessing
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -30,8 +31,8 @@ from .ecosystem import (
     EnvOutcome,
     Pool,
     Strategy,
-    checked_fields,
     ecosystem_learn,
+    from_json,
     make_pool,
     read_json,
     save_pool,
@@ -107,14 +108,7 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
 
 def config_from_json(data: dict) -> ExperimentConfig:
     """Strict parse: an unknown, missing or mistyped key is an error naming it."""
-    kwargs = checked_fields(ExperimentConfig, data, "config")
-    kwargs["strategy"] = Strategy(kwargs["strategy"])
-    for section, cls in (("grid", GridConfig), ("ppo", PpoConfig)):
-        if section in kwargs:
-            kwargs[section] = cls(
-                **checked_fields(cls, kwargs[section], "config", f"{section}.")
-            )
-    return ExperimentConfig(**kwargs)
+    return from_json(ExperimentConfig, data, "config")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -180,73 +174,14 @@ def adaptability_index(pool: Pool, eval_levels: list[Level]) -> float:
     return total / len(eval_levels)
 
 
-def execute_run(
-    cfg: ExperimentConfig,
-    run_seed: int,
-    on_record=None,
-    on_env=None,
-) -> RunResult:
-    """One full experiment run; deterministic in (cfg, run_seed).
-
-    `on_record` fires after each checkpoint row, `on_env` after each
-    environment with (outcome, fresh audit events); both exist so
-    callers can persist results as they appear.
-    """
-    pool = make_pool(
-        cfg.strategy, threshold=cfg.threshold, grid=cfg.grid, seed=run_seed
-    )
-    eval_levels = [generate_level(s, cfg.grid) for s in cfg.eval_seeds()]
-    audit: list[dict] = []
-    outcomes: list[EnvOutcome] = []
-    records: list[MetricsRecord] = []
-    cum_steps = 0
-    failures = 0
-
-    for i, seed in enumerate(cfg.train_seeds()):
-        level = generate_level(seed, cfg.grid)
-        mark = len(audit)
-        pool, outcome = ecosystem_learn(
-            pool,
-            level,
-            cfg.ppo,
-            budget=cfg.budget,
-            optimize=cfg.optimize_pool,
-            audit=audit,
-        )
-        outcomes.append(outcome)
-        cum_steps += outcome.training_steps_used
-        failures += int(outcome.failed)
-        if on_env is not None:
-            on_env(outcome, audit[mark:])
-        if (i + 1) % cfg.eval_every == 0:
-            record = MetricsRecord(
-                envs_seen=i + 1,
-                zeta=adaptability_index(pool, eval_levels),
-                pool_size=len(pool.agents),
-                cum_steps=cum_steps,
-                cum_tests=pool.tests_total,
-                failures=failures,
-            )
-            records.append(record)
-            if on_record is not None:
-                on_record(record)
-            logger.info(
-                "run %d: %d envs seen, zeta=%.3f, pool=%d, steps=%d",
-                run_seed,
-                record.envs_seen,
-                record.zeta,
-                record.pool_size,
-                record.cum_steps,
-            )
-    return RunResult(records=records, pool=pool, audit=audit, outcomes=outcomes)
-
-
 def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
-    """Run one experiment, streaming partial results to disk as they appear.
+    """One full experiment run, deterministic in (cfg, run_seed), written
+    to `run_dir` as it goes.
 
-    Writes metrics.csv row by row and audit.jsonl event by event, so an
-    aborted run leaves every completed checkpoint behind; the pool
-    checkpoint is saved on successful completion.
+    metrics.csv gains each checkpoint row and audit.jsonl each level's
+    events as they appear, each flushed at once, so an aborted run leaves
+    every completed checkpoint behind; the pool checkpoint is saved on
+    successful completion.
     """
     out = Path(run_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,19 +191,54 @@ def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
         writer = csv.writer(metrics_fh)
         writer.writerow(METRICS_COLUMNS)
         metrics_fh.flush()
-
-        def on_record(record: MetricsRecord) -> None:
-            writer.writerow([getattr(record, c) for c in METRICS_COLUMNS])
-            metrics_fh.flush()
-
-        def on_env(outcome: EnvOutcome, events: list[dict]) -> None:
-            for event in events:
+        pool = make_pool(
+            cfg.strategy, threshold=cfg.threshold, grid=cfg.grid, seed=run_seed
+        )
+        eval_levels = [generate_level(s, cfg.grid) for s in cfg.eval_seeds()]
+        audit: list[dict] = []
+        outcomes: list[EnvOutcome] = []
+        records: list[MetricsRecord] = []
+        cum_steps = 0
+        failures = 0
+        for i, seed in enumerate(cfg.train_seeds()):
+            level = generate_level(seed, cfg.grid)
+            mark = len(audit)
+            pool, outcome = ecosystem_learn(
+                pool,
+                level,
+                cfg.ppo,
+                budget=cfg.budget,
+                optimize=cfg.optimize_pool,
+                audit=audit,
+            )
+            outcomes.append(outcome)
+            cum_steps += outcome.training_steps_used
+            failures += int(outcome.failed)
+            for event in audit[mark:]:
                 audit_fh.write(json.dumps(event) + "\n")
             audit_fh.flush()
-
-        result = execute_run(cfg, run_seed, on_record=on_record, on_env=on_env)
-    save_pool(result.pool, out / "pool")
-    return result
+            if (i + 1) % cfg.eval_every == 0:
+                record = MetricsRecord(
+                    envs_seen=i + 1,
+                    zeta=adaptability_index(pool, eval_levels),
+                    pool_size=len(pool.agents),
+                    cum_steps=cum_steps,
+                    cum_tests=pool.tests_total,
+                    failures=failures,
+                )
+                records.append(record)
+                writer.writerow([getattr(record, c) for c in METRICS_COLUMNS])
+                metrics_fh.flush()
+                logger.info(
+                    "run %d: %d envs seen, zeta=%.3f, pool=%d, steps=%d",
+                    run_seed,
+                    record.envs_seen,
+                    record.zeta,
+                    record.pool_size,
+                    record.cum_steps,
+                )
+    save_pool(pool, out / "pool")
+    return RunResult(records=records, pool=pool, audit=audit, outcomes=outcomes)
 
 
 def aggregate_runs(runs: list[list[MetricsRecord]]) -> list[AggregateRecord]:
@@ -335,12 +305,10 @@ def export_aggregate(records: list[AggregateRecord], path) -> None:
     _write_rows(path, AGGREGATE_COLUMNS, rows, "csv")
 
 
-_INT_COLUMNS = ("envs_seen", "pool_size", "cum_steps", "cum_tests", "failures")
-
-
 def load_metrics(path) -> list[MetricsRecord]:
-    """Inverse of export_metrics for both formats (by file extension);
-    ValueError names the columns a file lacks."""
+    """Inverse of export_metrics for both formats (by file extension).
+    Each column is converted by its `MetricsRecord` annotation; ValueError
+    names the columns a file lacks."""
     path = Path(path)
     if path.suffix == ".json":
         entries = json.loads(path.read_text())
@@ -354,17 +322,11 @@ def load_metrics(path) -> list[MetricsRecord]:
         missing = [c for c in METRICS_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path} lacks metrics column {', '.join(missing)}")
-    records = []
-    for entry in entries:
-        records.append(
-            MetricsRecord(
-                **{
-                    c: (int(entry[c]) if c in _INT_COLUMNS else float(entry[c]))
-                    for c in METRICS_COLUMNS
-                }
-            )
-        )
-    return records
+    kinds = typing.get_type_hints(MetricsRecord)
+    return [
+        MetricsRecord(**{c: kinds[c](entry[c]) for c in METRICS_COLUMNS})
+        for entry in entries
+    ]
 
 
 def _suite_worker(args) -> list[MetricsRecord]:

@@ -389,10 +389,14 @@ def params_to_json(params: PolicyParams) -> dict:
 
 
 def params_from_json(data: dict) -> PolicyParams:
-    """Inverse of `params_to_json`.  ValueError unless every stored array
-    has the shape that the header's `arch` and `heads` name."""
+    """Inverse of `params_to_json`.  ValueError, naming the key, if one is
+    missing, and unless every stored array has the shape that the header's
+    `arch` and `heads` name."""
     if data.get("version") != 1:
         raise ValueError(f"unsupported params version {data.get('version')!r}")
+    for key in ("arch", "heads", "actor", "critic"):
+        if key not in data:
+            raise ValueError(f"params lack key {key!r}")
     heads = {}
     for name in ("actor", "critic"):
         widths = (*data["arch"], data["heads"][name])

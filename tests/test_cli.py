@@ -350,12 +350,24 @@ def test_inspect_pool(fake_training, tmp_path, capsys):
     assert cli.main(["inspect-pool", str(tmp_path / "nope")]) == 2
 
 
+def _add_agent(manifest, **entry):
+    base = dict(id=0, solved=[3], birth_env=3, params_ref="agent_0.params.json")
+    manifest["agents"].append(dict(base, **entry))
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
         (lambda m: m.update(version=2), "unsupported pool version 2"),
         (lambda m: m.update(main_agent_ref=None), "has no main agent"),
         (lambda m: m.pop("grid"), "missing pool.json key 'grid'"),
+        (lambda m: m.update(threshold="0.8"), "pool.json key 'threshold': '0.8'"),
+        (lambda m: m.update(next_id="x"), "pool.json key 'next_id': 'x'"),
+        (lambda m: _add_agent(m, solved=["3"]), "pool.json key agents.'solved'"),
+        (lambda m: _add_agent(m, params_ref="../a.json"), "outside itself: '../a.json'"),
+        (lambda m: _add_agent(m, params_ref="/x/a.json"), "outside itself: '/x/a.json'"),
+        (lambda m: m.update(main_agent_ref="../m.json"), "outside itself: '../m.json'"),
+        (lambda m: m.update(main_agent_ref="/x/m.json"), "outside itself: '/x/m.json'"),
     ],
 )
 def test_inspect_pool_refuses_bad_manifest(tmp_path, capsys, edit, named):

@@ -524,6 +524,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_pool(tmp_path)
 
+    def test_params_file_without_a_key_names_the_file(self, tmp_path):
+        import json
+        import re
+
+        pool, _ = _pool_with_agents(Strategy.BASIC, [{}])
+        save_pool(pool, tmp_path)
+        params_file = tmp_path / "agent_0.params.json"
+        data = json.loads(params_file.read_text())
+        del data["arch"]
+        params_file.write_text(json.dumps(data))
+        named = re.escape(f"{params_file}: params lack key 'arch'")
+        with pytest.raises(ValueError, match=named):
+            load_pool(tmp_path)
+
     def test_manifest_without_a_key_rejected(self, tmp_path):
         import json
         import re
@@ -534,6 +548,7 @@ class TestCheckpoint:
         required = [key for key in saved if key not in ("version", "forks_absorbed")]
         cases = [(saved, key, "") for key in required]
         cases.append((saved["agents"][0], "id", "agents."))
+        cases += [(saved["grid"], key, "grid.") for key in ("width", "height", "max_steps")]
         for holder, key, path in cases:
             value = holder.pop(key)
             (tmp_path / "pool.json").write_text(json.dumps(saved))

@@ -28,7 +28,6 @@ from ecopool.harness import (
     compare_suite,
     config_from_json,
     config_to_json,
-    execute_run,
     export_aggregate,
     export_metrics,
     load_config,
@@ -257,7 +256,7 @@ def test_config_value_types_named():
     assert (cfg.threshold, cfg.ppo.lr) == (1, 1)
     for key, value in (
         ("n_runs", "1"), ("n_runs", 2.0), ("n_runs", True),
-        ("threshold", "0.8"), ("optimize_pool", 1),
+        ("threshold", "0.8"), ("optimize_pool", 1), ("strategy", 3),
     ):
         with pytest.raises(ValueError, match=f"config key '{key}'"):
             config_from_json(dict(base, **{key: value}))
@@ -306,15 +305,15 @@ def _cadence_cfg(**overrides):
     return ExperimentConfig(**kwargs)
 
 
-def test_run_record_cadence(monkeypatch):
+def test_run_record_cadence(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "ecosystem_learn", _fake_learn())
     monkeypatch.setattr(harness, "test_agent", lambda params, level: 0.5)
-    records = execute_run(_cadence_cfg(), run_seed=0).records
+    records = run_to_dir(_cadence_cfg(), 0, tmp_path / "run").records
     assert len(records) == 2
     assert [r.envs_seen for r in records] == [50, 100]
 
 
-def test_run_counter_conservation(monkeypatch):
+def test_run_counter_conservation(tmp_path, monkeypatch):
     fail_envs = {3, 17, 61}
     monkeypatch.setattr(
         harness,
@@ -322,7 +321,7 @@ def test_run_counter_conservation(monkeypatch):
         _fake_learn(steps_per_env=7, tests_per_env=3, fail_envs=fail_envs),
     )
     monkeypatch.setattr(harness, "test_agent", lambda params, level: 0.5)
-    records = execute_run(_cadence_cfg(eval_every=25), run_seed=0).records
+    records = run_to_dir(_cadence_cfg(eval_every=25), 0, tmp_path / "run").records
     assert [r.envs_seen for r in records] == [25, 50, 75, 100]
     for r in records:
         assert r.cum_steps == 7 * r.envs_seen
@@ -359,15 +358,15 @@ def test_real_run_shape(tiny_run):
     assert 0.0 <= final.zeta <= 1.0
 
 
-def test_real_run_is_deterministic(tiny_run):
+def test_real_run_is_deterministic(tiny_run, tmp_path):
     cfg, result, _ = tiny_run
-    again = execute_run(cfg, 0).records
+    again = run_to_dir(cfg, 0, tmp_path / "run").records
     assert again == result.records
 
 
-def test_run_seed_changes_outcome(tiny_run):
+def test_run_seed_changes_outcome(tiny_run, tmp_path):
     cfg, result, _ = tiny_run
-    other = execute_run(cfg, 1).records
+    other = run_to_dir(cfg, 1, tmp_path / "run").records
     assert [r.envs_seen for r in other] == [r.envs_seen for r in result.records]
     assert other != result.records
 

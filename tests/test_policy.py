@@ -365,6 +365,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             params_from_json(data)
 
+    @pytest.mark.parametrize("key", ["arch", "heads", "actor", "critic"])
+    def test_missing_key_named(self, key):
+        data = params_to_json(init_params(0))
+        del data[key]
+        with pytest.raises(ValueError, match=f"params lack key '{key}'"):
+            params_from_json(data)
+
     def test_header_shape_mismatch_rejected(self):
         data = params_to_json(init_params(0))
         data["arch"] = [147, 32, 64]
