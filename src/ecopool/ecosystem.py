@@ -485,8 +485,9 @@ def load_pool(in_dir) -> Pool:
     manifest = read_manifest(src)
 
     def params(ref: str) -> PolicyParams:
+        data = read_json(src / ref, "params file")
         try:
-            return params_from_json(json.loads((src / ref).read_text()))
+            return params_from_json(data)
         except ValueError as exc:
             raise ValueError(f"bad params file {src / ref}: {exc}") from exc
 

@@ -85,8 +85,7 @@ class ExperimentConfig:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.train_seed_base < 0 or self.eval_seed_base < 0:
             raise ValueError("seed bases must be non-negative")
-        train = range(self.train_seed_base, self.train_seed_base + self.n_train_envs)
-        evals = range(self.eval_seed_base, self.eval_seed_base + self.n_eval_envs)
+        train, evals = self.train_seeds(), self.eval_seeds()
         if max(train.start, evals.start) < min(train.stop, evals.stop):
             raise ValueError(
                 f"train and eval seed ranges overlap "
@@ -340,42 +339,24 @@ def _suite_tasks(cfg: ExperimentConfig, out: Path) -> list[tuple]:
     ]
 
 
-def _log_to_files(files: list[tuple[str, logging.Formatter]], level: int) -> None:
-    """Worker initializer: the package log goes to the parent's log files."""
-    pkg_logger = logging.getLogger("ecopool")
-    pkg_logger.setLevel(level)
-    for path, formatter in files:
-        handler = logging.FileHandler(path)
-        handler.setFormatter(formatter)
-        pkg_logger.addHandler(handler)
-
-
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[list[MetricsRecord]]:
     """Records of each (cfg, run seed, run dir) task, in task order.
 
-    With `jobs` > 1 the tasks share one pool of spawned worker processes,
-    which import the program's `__main__` module again: a script that
-    asks for them needs an `if __name__ == "__main__":` guard.  `jobs`
-    == 1 runs them one after another in this process, inside a
-    `critic_helper` block, which decides for itself whether the critic
-    half of every update runs on a forked helper.  Runs are independent
-    (each owns its pool) and the split update is exact, so results are
-    identical either way.
+    With `jobs` > 1, where fork exists, the tasks share one pool of
+    forked worker processes, which inherit this process's state: its
+    log handlers, and any wrapper installed before the call.  Otherwise
+    they run one after another in this process, inside a `critic_helper`
+    block, which decides for itself whether the critic half of every
+    update runs on a forked helper.  Runs are independent (each owns its
+    pool) and the split update is exact, so results are identical
+    either way.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1 and len(tasks) > 1:
-        pkg_logger = logging.getLogger("ecopool")
-        files = [
-            (h.baseFilename, h.formatter)
-            for h in pkg_logger.handlers
-            if isinstance(h, logging.FileHandler)
-        ]
+    if jobs > 1 and len(tasks) > 1 and "fork" in multiprocessing.get_all_start_methods():
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(tasks)),
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_log_to_files,
-            initargs=(files, pkg_logger.level),
+            mp_context=multiprocessing.get_context("fork"),
         ) as pool:
             return list(pool.map(_suite_worker, tasks))
     with critic_helper():
@@ -385,12 +366,8 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[list[MetricsRecord]]:
 def run_suite(
     cfg: ExperimentConfig, out_dir, jobs: int = 1
 ) -> list[list[MetricsRecord]]:
-    """All n_runs runs of one strategy, plus the aggregate file.
-
-    `jobs` > 1 fans the runs out over spawned processes, which import
-    `__main__` again: call it with `jobs` > 1 only from under an
-    `if __name__ == "__main__":` guard (see `_run_tasks`).
-    """
+    """All n_runs runs of one strategy, plus the aggregate file.  `jobs`
+    > 1 fans the runs out over forked processes (see `_run_tasks`)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs = _run_tasks(_suite_tasks(cfg, out), jobs)
@@ -417,8 +394,7 @@ def compare_suite(
     Emits per-strategy suites (runs + aggregate), a combined per-checkpoint
     table, and one chart per metric.  Every (strategy, run seed) pair is one
     task of a single list, so `jobs` > 1 keeps all workers busy across
-    strategies; `jobs` == 1 runs each strategy's runs in turn.  As for
-    `run_suite`, `jobs` > 1 needs an `if __name__ == "__main__":` guard.
+    strategies; `jobs` == 1 runs each strategy's runs in turn.
     """
     check_strategies(strategies)
     out = Path(out_dir)

@@ -388,18 +388,28 @@ def params_to_json(params: PolicyParams) -> dict:
     }
 
 
-def params_from_json(data: dict) -> PolicyParams:
-    """Inverse of `params_to_json`.  ValueError, naming the key, if one is
-    missing, and unless every stored array has the shape that the header's
-    `arch` and `heads` name."""
+def params_from_json(data) -> PolicyParams:
+    """Inverse of `params_to_json`.  ValueError, naming the key or the
+    layer, if the data is not an object, a key is missing or of the wrong
+    kind, a layer is not a [weights, bias] pair, or a stored array has
+    another shape than the header's `arch` and `heads` name."""
+    if not isinstance(data, dict):
+        raise ValueError("params must be a JSON object")
     if data.get("version") != 1:
         raise ValueError(f"unsupported params version {data.get('version')!r}")
-    for key in ("arch", "heads", "actor", "critic"):
+    for key, kind in (("arch", list), ("heads", dict), ("actor", list), ("critic", list)):
         if key not in data:
             raise ValueError(f"params lack key {key!r}")
+        if not isinstance(data[key], kind):
+            raise ValueError(f"params key {key!r} must be a {kind.__name__}")
     heads = {}
     for name in ("actor", "critic"):
+        if name not in data["heads"]:
+            raise ValueError(f"params lack key heads.{name!r}")
         widths = (*data["arch"], data["heads"][name])
+        for i, layer in enumerate(data[name]):
+            if not (isinstance(layer, list) and len(layer) == 2):
+                raise ValueError(f"{name} layer {i} is not a [weights, bias] pair")
         layers = tuple(
             (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
             for w, b in data[name]

@@ -247,11 +247,14 @@ def _train_head(job: _HeadJob, stop: Callable[[], bool] | None = None):
 
 
 class _Helper:
-    """The helper process and this process's side of the pipe to it."""
+    """The helper process and its owner's side of the pipe to it.  The
+    owner is the process that forked it: a process forked from the owner
+    inherits the object but must not use it."""
 
     def __init__(self, conn, proc):
         self.conn = conn
         self.proc = proc
+        self.owner = os.getpid()
         self.busy = False  # a job was sent and its reply is not read yet
 
     def close(self) -> None:
@@ -310,9 +313,10 @@ def critic_helper():
     not there when the actor is done (the helper's core is busy or
     slow), this process trains the critic itself and stops as soon as
     the reply comes; both give the same bits.  A helper that dies is
-    dropped, and the block goes on inline.  Being forked, the helper
-    does not import `__main__` again; it exits when the block closes
-    the pipe, and the block joins it.
+    dropped, and the block goes on inline.  Only the process that opened
+    the block uses its helper: a process forked inside the block (a
+    `--jobs` worker) updates inline.  The helper exits when the block
+    closes the pipe, and the block joins it.
     """
     global _helper
     if (
@@ -395,7 +399,7 @@ def ppo_update(
         return job(_critic_grad, critic_part, params.widths[1], (traj.obs, returns))
 
     actor = critic = None
-    if _helper is not None:
+    if _helper is not None and _helper.owner == os.getpid():
         try:
             if _helper.free():
                 sent = critic_job()

@@ -531,11 +531,27 @@ class TestCheckpoint:
         pool, _ = _pool_with_agents(Strategy.BASIC, [{}])
         save_pool(pool, tmp_path)
         params_file = tmp_path / "agent_0.params.json"
-        data = json.loads(params_file.read_text())
-        del data["arch"]
-        params_file.write_text(json.dumps(data))
-        named = re.escape(f"{params_file}: params lack key 'arch'")
-        with pytest.raises(ValueError, match=named):
+        saved = json.loads(params_file.read_text())
+        malformed = [
+            ({k: v for k, v in saved.items() if k != "arch"}, "params lack key 'arch'"),
+            ({**saved, "heads": {"critic": 1}}, "params lack key heads.'actor'"),
+            ([saved], "params must be a JSON object"),
+            ({**saved, "heads": [3, 1]}, "params key 'heads' must be a dict"),
+            (
+                {**saved, "actor": [saved["actor"][0] + [[0.0]]] + saved["actor"][1:]},
+                "actor layer 0 is not a [weights, bias] pair",
+            ),
+        ]
+        for data, problem in malformed:
+            params_file.write_text(json.dumps(data))
+            named = re.escape(f"{params_file}: {problem}")
+            with pytest.raises(ValueError, match=named):
+                load_pool(tmp_path)
+        params_file.write_text("{")
+        with pytest.raises(ValueError, match=re.escape(f"params file {params_file} is not valid JSON")):
+            load_pool(tmp_path)
+        params_file.unlink()
+        with pytest.raises(ValueError, match=re.escape(f"cannot read params file {params_file}")):
             load_pool(tmp_path)
 
     def test_manifest_without_a_key_rejected(self, tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -595,54 +596,119 @@ def test_compare_suite_parallel_writes_same_bytes(tmp_path):
     assert written(2) == serial
 
 
-UNGUARDED_SCRIPT = """
+SCRIPT_HEADER = """
 import os, sys
 from ecopool import harness, ppo
 from ecopool.ecosystem import Strategy
 from ecopool.ppo import PpoConfig
 
+def tiny_cfg(n_runs):
+    return harness.ExperimentConfig(
+        strategy=Strategy.BASIC, n_train_envs=1, eval_every=1, n_eval_envs=1,
+        n_runs=n_runs, budget=2,
+        ppo=PpoConfig(rollout_steps=64, minibatch_size=32, update_epochs=1),
+    )
+
+def child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)  # reaps or finds any child left behind
+        return True
+    except ChildProcessError:
+        return False
+"""
+
+UNGUARDED_SCRIPT = SCRIPT_HEADER + """
 print("top level", flush=True)
-helper_open = []
+out, jobs, n_runs = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 update = ppo.ppo_update
 
 def spying_update(*args, **kwargs):
-    helper_open.append(ppo._helper is not None)
+    with open(os.path.join(out, "updates.txt"), "a") as fh:
+        fh.write(f"{os.getpid()} {ppo._helper is not None}\\n")
     return update(*args, **kwargs)
 
 ppo.ppo_update = spying_update
-cfg = harness.ExperimentConfig(
-    strategy=Strategy.BASIC, n_train_envs=1, eval_every=1, n_eval_envs=1, n_runs=1,
-    budget=2, ppo=PpoConfig(rollout_steps=64, minibatch_size=32, update_epochs=1),
-)
-harness.run_suite(cfg, sys.argv[1])
-try:
-    os.waitpid(-1, os.WNOHANG)  # reaps or finds any child left behind
-    left = True
-except ChildProcessError:
-    left = False
-print("updates", len(helper_open), "helper", all(helper_open), "child_left", left)
+os.makedirs(out)
+harness.run_suite(tiny_cfg(n_runs), out, jobs=jobs)
+with open(os.path.join(out, "updates.txt")) as fh:
+    pids, helper = zip(*(line.split() for line in fh))
+workers = len(set(pids) - {str(os.getpid())})
+print("updates", len(pids), "workers", workers, "helper", all(h == "True" for h in helper),
+      "child_left", child_left())
+"""
+
+GUARDED_WRAPPER_SCRIPT = SCRIPT_HEADER + """
+def main():
+    harness.adaptability_index = lambda pool, eval_levels: 0.125
+    runs = harness.run_suite(tiny_cfg(2), sys.argv[1], jobs=2)
+    print(*(run[-1].zeta for run in runs))
+
+if __name__ == "__main__":
+    main()
+"""
+
+HELPER_AROUND_JOBS_SCRIPT = SCRIPT_HEADER + """
+serial = harness.run_suite(tiny_cfg(2), os.path.join(sys.argv[1], "serial"))
+with ppo.critic_helper():
+    helper = ppo._helper is not None
+    forked = harness.run_suite(tiny_cfg(2), os.path.join(sys.argv[1], "forked"), jobs=2)
+print("same", forked == serial, "helper", helper, "child_left", child_left())
 """
 
 
-def test_unguarded_script_runs_once_and_leaves_no_child(tmp_path):
-    # No `if __name__ == "__main__"` guard: a helper that imported the
-    # script again would print its top level twice, or fail.
+def _run_script(tmp_path, text, *args):
+    """The stdout lines of `text` run as a script, which must exit 0, in
+    its own session; on a timeout the whole session is killed and the
+    test fails."""
     script = tmp_path / "script.py"
-    script.write_text(UNGUARDED_SCRIPT)
+    script.write_text(text)
     src = str(Path(harness.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, str(script), str(tmp_path / "out")],
+    proc = subprocess.Popen(
+        [sys.executable, str(script), *map(str, args)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=120,
+        start_new_session=True,
     )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("script timed out")
+    assert proc.returncode == 0, stderr
+    return stdout.splitlines()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unguarded_script_runs_once_and_leaves_no_child(tmp_path, jobs):
+    # No `if __name__ == "__main__"` guard: a helper or a worker that
+    # imported the script again would print its top level twice, or fail.
+    lines = _run_script(tmp_path, UNGUARDED_SCRIPT, tmp_path / "out", jobs, jobs)
     assert lines[0] == "top level" and len(lines) == 2
-    updates, helper, left = lines[1].split()[1::2]
-    assert int(updates) >= 1 and left == "False"
+    updates, workers, helper, left = lines[1].split()[1::2]
+    assert int(updates) >= jobs and left == "False"
+    if jobs == 1:
+        assert workers == "0"
+        if ppo._usable_cpus() >= 2:
+            assert helper == "True"
+    else:  # the wrapper reached the forked workers, which update inline
+        assert int(workers) >= 1 and helper == "False"
+
+
+def test_wrapper_installed_in_main_reaches_the_workers(tmp_path):
+    lines = _run_script(tmp_path, GUARDED_WRAPPER_SCRIPT, tmp_path / "out")
+    assert lines == ["0.125 0.125"]
+
+
+def test_workers_forked_inside_a_helper_block_update_inline(tmp_path):
+    # Each worker inherits the block's helper; using it would share one
+    # pipe between processes and hang.
+    lines = _run_script(tmp_path, HELPER_AROUND_JOBS_SCRIPT, tmp_path / "out")
+    same, helper, left = lines[0].split()[1::2]
+    assert same == "True" and left == "False"
     if ppo._usable_cpus() >= 2:
         assert helper == "True"
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -335,6 +336,14 @@ class TestAdam:
             assert params == want
 
 
+def _without(key):
+    return lambda data: {k: v for k, v in data.items() if k != key}
+
+
+def _with(key, value):
+    return lambda data: {**data, key: value}
+
+
 class TestSerialization:
     def test_json_roundtrip_exact(self):
         params = init_params(33)
@@ -365,11 +374,30 @@ class TestSerialization:
         with pytest.raises(ValueError):
             params_from_json(data)
 
-    @pytest.mark.parametrize("key", ["arch", "heads", "actor", "critic"])
-    def test_missing_key_named(self, key):
-        data = params_to_json(init_params(0))
-        del data[key]
-        with pytest.raises(ValueError, match=f"params lack key '{key}'"):
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param(_without(key), f"params lack key '{key}'", id=key)
+            for key in ("arch", "heads", "actor", "critic")
+        ]
+        + [
+            pytest.param(
+                _with("heads", {"critic": 1}), "params lack key heads.'actor'", id="heads.actor"
+            ),
+            pytest.param(
+                _with("heads", [3, 1]), "params key 'heads' must be a dict", id="heads-list"
+            ),
+            pytest.param(lambda data: [data], "params must be a JSON object", id="list"),
+            pytest.param(
+                lambda data: {**data, "critic": [data["critic"][0] + [[0.0]]] + data["critic"][1:]},
+                "critic layer 0 is not a [weights, bias] pair",
+                id="layer-triple",
+            ),
+        ],
+    )
+    def test_missing_key_named(self, edit, named):
+        data = edit(params_to_json(init_params(0)))
+        with pytest.raises(ValueError, match=re.escape(named)):
             params_from_json(data)
 
     def test_header_shape_mismatch_rejected(self):
