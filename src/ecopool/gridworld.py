@@ -55,14 +55,6 @@ DIR_VECTORS = {
     Direction.W: (-1, 0),
 }
 
-# Clockwise neighbor, i.e. the direction to the agent's right.
-_RIGHT_OF = {
-    Direction.N: Direction.E,
-    Direction.E: Direction.S,
-    Direction.S: Direction.W,
-    Direction.W: Direction.N,
-}
-
 AGENT_GLYPHS = {
     Direction.N: "^",
     Direction.E: ">",
@@ -254,19 +246,32 @@ def step(state: EnvState, action: Action) -> tuple[EnvState, np.ndarray, float, 
     return new_state, observe(new_state), reward, done
 
 
+_PAD = VIEW_SIZE - 1  # the farthest a view reaches from the agent's cell
+_HALF = VIEW_SIZE // 2
+
+
 @lru_cache(maxsize=256)
-def _code_grid(level: Level) -> np.ndarray:
-    """(height, width) array of object codes for the static map."""
-    grid = np.full((level.height, level.width), EMPTY, dtype=np.uint8)
+def _padded_codes(level: Level) -> np.ndarray:
+    """Object codes of the static map inside a border of unseen cells
+    `_PAD` wide; the cell (x, y) is at [y + _PAD, x + _PAD]."""
+    grid = np.full((level.height + 2 * _PAD, level.width + 2 * _PAD), UNSEEN, dtype=np.uint8)
+    grid[_PAD:-_PAD, _PAD:-_PAD] = EMPTY
     for x, y in level.walls:
-        grid[y, x] = WALL
+        grid[y + _PAD, x + _PAD] = WALL
     gx, gy = level.goal_pos
-    grid[gy, gx] = GOAL
+    grid[gy + _PAD, gx + _PAD] = GOAL
     return grid
 
 
-_FWD = (VIEW_SIZE - 1) - np.arange(VIEW_SIZE)[:, None]  # rows: far -> near
-_LAT = np.arange(VIEW_SIZE)[None, :] - VIEW_SIZE // 2   # cols: left -> right
+# Per direction: the (row, column) at which the view's window starts in
+# the padded grid, relative to the agent's (y, x), and the turn that
+# puts the window's far edge first and the agent's right last.
+_WINDOWS = {
+    Direction.N: (0, _HALF, lambda w: w),
+    Direction.E: (_HALF, _PAD, lambda w: w.T[::-1]),
+    Direction.S: (_PAD, _HALF, lambda w: w[::-1, ::-1]),
+    Direction.W: (_HALF, 0, lambda w: w.T[:, ::-1]),
+}
 
 
 def observe(state: EnvState) -> np.ndarray:
@@ -285,15 +290,10 @@ def observe(state: EnvState) -> np.ndarray:
 @lru_cache(maxsize=2048)
 def _view(level: Level, pos: tuple[int, int], direction: Direction) -> np.ndarray:
     x, y = pos
-    dx, dy = DIR_VECTORS[direction]
-    rx, ry = DIR_VECTORS[_RIGHT_OF[direction]]
-
-    wx = x + _FWD * dx + _LAT * rx
-    wy = y + _FWD * dy + _LAT * ry
-    inside = (wx >= 0) & (wx < level.width) & (wy >= 0) & (wy < level.height)
-
+    row, col, turn = _WINDOWS[direction]
+    window = _padded_codes(level)[y + row : y + row + VIEW_SIZE, x + col : x + col + VIEW_SIZE]
     obs = np.zeros(OBS_SHAPE, dtype=np.uint8)
-    obs[..., 0][inside] = _code_grid(level)[wy[inside], wx[inside]]
+    obs[..., 0] = turn(window)
     obs.flags.writeable = False
     return obs
 

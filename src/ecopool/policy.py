@@ -192,19 +192,28 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(params: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Action probabilities and value estimate for one observation.
+def action_probs(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
+    """Action probabilities for one observation, from the actor alone.
 
     Accepts either a raw 7x7x3 observation or an already-flattened input
     vector (used by reduced-size test nets).  Raises on non-finite
-    outputs, the symptom of diverged training.
+    logits, the symptom of diverged training.
     """
     x = flatten_obs(obs) if obs.ndim == 3 else np.asarray(obs, dtype=np.float64)
     logits = _mlp_forward(params.actor, x)[-1]
-    value = float(_mlp_forward(params.critic, x)[-1][0])
-    if not (np.isfinite(logits).all() and math.isfinite(value)):
+    if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite network output (training diverged)")
-    return _softmax(logits), value
+    return _softmax(logits)
+
+
+def forward(params: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
+    """`action_probs` and the critic's value estimate, checked the same way."""
+    x = flatten_obs(obs) if obs.ndim == 3 else np.asarray(obs, dtype=np.float64)
+    probs = action_probs(params, x)
+    value = float(_mlp_forward(params.critic, x)[-1][0])
+    if not math.isfinite(value):
+        raise FloatingPointError("non-finite network output (training diverged)")
+    return probs, value
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> Action:
@@ -391,8 +400,9 @@ def params_to_json(params: PolicyParams) -> dict:
 def params_from_json(data) -> PolicyParams:
     """Inverse of `params_to_json`.  ValueError, naming the key or the
     layer, if the data is not an object, a key is missing or of the wrong
-    kind, a layer is not a [weights, bias] pair, or a stored array has
-    another shape than the header's `arch` and `heads` name."""
+    kind, a layer is not a [weights, bias] pair, a stored array has
+    another shape than the header's `arch` and `heads` name, or a weight
+    or bias is NaN or infinite (JSON's `NaN` and `Infinity` parse)."""
     if not isinstance(data, dict):
         raise ValueError("params must be a JSON object")
     if data.get("version") != 1:
@@ -417,5 +427,8 @@ def params_from_json(data) -> PolicyParams:
         expected = [((i, o), (o,)) for i, o in zip(widths, widths[1:])]
         if [(w.shape, b.shape) for w, b in layers] != expected:
             raise ValueError(f"stored {name} layers disagree with the params header")
+        for i, (w, b) in enumerate(layers):
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"{name} layer {i} holds a non-finite weight or bias")
         heads[name] = layers
     return PolicyParams(**heads)

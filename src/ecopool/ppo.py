@@ -43,6 +43,7 @@ from .policy import (
     _critic_grad,
     _head_views,
     _loss,
+    action_probs,
     draw_action,
     flatten_obs,
     forward,
@@ -358,8 +359,8 @@ def ppo_update(
     runs its own loop over the one minibatch schedule, on its slice of
     the weights and moments, and gets the bits a joint loop would.
     Inside a `critic_helper` block the critic's loop runs on the helper.
-    A non-finite loss raises FloatingPointError and leaves `opt` as it
-    was.
+    A non-finite loss or new weight raises FloatingPointError and leaves
+    `opt` as it was.
     """
     global _helper
     n = len(traj)
@@ -423,11 +424,14 @@ def ppo_update(
     for actor_terms, critic_terms in zip(actor[3], critic[3]):
         if not math.isfinite(_loss(actor_terms, critic_terms, spec)):
             raise FloatingPointError("non-finite loss (training diverged)")
-    for part, (flat, m, v, _) in ((actor_part, actor), (critic_part, critic)):
+    flat = np.concatenate([actor[0], critic[0]])
+    if not np.isfinite(flat).all():
+        raise FloatingPointError("non-finite weights (training diverged)")
+    for part, (_, m, v, _) in ((actor_part, actor), (critic_part, critic)):
         opt._m[part] = m
         opt._v[part] = v
     opt.t += len(actor[3])
-    return PolicyParams.from_flat(np.concatenate([actor[0], critic[0]]), params.widths)
+    return PolicyParams.from_flat(flat, params.widths)
 
 
 def learn_epoch(
@@ -452,7 +456,9 @@ def test_agent(params: PolicyParams, level: Level) -> float:
     too and the agent cycles without reaching the goal until the step
     budget runs out, which pays 0.  Every forward the full episode would
     still make sees an observation already seen, so a non-finite output
-    cannot be skipped either.
+    cannot be skipped either.  Only the actor runs, as only its argmax
+    is read; `ppo_update` and `params_from_json` refuse a non-finite
+    critic.
     """
     state, obs = reset(level)
     seen = set()
@@ -462,7 +468,7 @@ def test_agent(params: PolicyParams, level: Level) -> float:
         if key in seen:
             return 0.0
         seen.add(key)
-        probs, _ = forward(params, obs)
+        probs = action_probs(params, obs)
         state, obs, reward, _ = step(state, Action(int(np.argmax(probs))))
         total += reward
     return total

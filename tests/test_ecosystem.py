@@ -23,6 +23,7 @@ from ecopool.ecosystem import (
 from ecopool.gridworld import GridConfig, generate_level
 from ecopool.policy import PolicyParams, init_params
 from ecopool.ppo import PpoConfig
+from test_policy import _with_entry
 
 FAST_CFG = PpoConfig(
     rollout_steps=256, minibatch_size=64, update_epochs=6, entropy_coef=0.02
@@ -532,6 +533,10 @@ class TestCheckpoint:
         save_pool(pool, tmp_path)
         params_file = tmp_path / "agent_0.params.json"
         saved = json.loads(params_file.read_text())
+
+        def with_entry(head, layer, which, value):
+            return _with_entry(head, layer, which, value)(json.loads(json.dumps(saved)))
+
         malformed = [
             ({k: v for k, v in saved.items() if k != "arch"}, "params lack key 'arch'"),
             ({**saved, "heads": {"critic": 1}}, "params lack key heads.'actor'"),
@@ -541,6 +546,8 @@ class TestCheckpoint:
                 {**saved, "actor": [saved["actor"][0] + [[0.0]]] + saved["actor"][1:]},
                 "actor layer 0 is not a [weights, bias] pair",
             ),
+            (with_entry("actor", 1, 0, float("nan")), "actor layer 1 holds a non-finite weight or bias"),
+            (with_entry("critic", 0, 1, float("inf")), "critic layer 0 holds a non-finite weight or bias"),
         ]
         for data, problem in malformed:
             params_file.write_text(json.dumps(data))

@@ -315,6 +315,40 @@ def _all_states(level):
                     yield EnvState(level, (x, y), d, steps_used=0, done=False)
 
 
+# Non-square maps, 15 wide x 11 high and 11 x 15: a view that swapped x
+# and y anywhere would still match on a square map.
+WIDE_MAP = (
+    "###############\n"
+    "#>....#.......#\n"
+    "#.....#...#...#\n"
+    "#.....#.......#\n"
+    "#.............#\n"
+    "###.#####.#####\n"
+    "#......#......#\n"
+    "#..G...#......#\n"
+    "#......#...#..#\n"
+    "#.............#\n"
+    "###############"
+)
+TALL_MAP = (
+    "###########\n"
+    "#....#....#\n"
+    "#.v..#....#\n"
+    "#.........#\n"
+    "#....#....#\n"
+    "#....#..#.#\n"
+    "###.###.###\n"
+    "#.........#\n"
+    "#...#.....#\n"
+    "#.........#\n"
+    "####.######\n"
+    "#.........#\n"
+    "#......G..#\n"
+    "#.#.......#\n"
+    "###########"
+)
+
+
 class TestCachedViews:
     @pytest.mark.parametrize("size", [9, 19])
     def test_every_state_matches_reference(self, size):
@@ -324,6 +358,15 @@ class TestCachedViews:
                 # Twice: the first call builds the view, the second reads it.
                 assert np.array_equal(observe(state), _observe_reference(state))
                 assert np.array_equal(observe(state), _observe_reference(state))
+
+    @pytest.mark.parametrize(
+        "text, shape", [(WIDE_MAP, (15, 11)), (TALL_MAP, (11, 15))], ids=["15x11", "11x15"]
+    )
+    def test_non_square_map_matches_reference(self, text, shape):
+        level = parse_ascii(text).level
+        assert (level.width, level.height) == shape
+        for state in _all_states(level):
+            assert np.array_equal(observe(state), _observe_reference(state))
 
     def test_views_are_read_only(self):
         state, obs = reset(generate_level(2))

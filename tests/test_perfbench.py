@@ -1,8 +1,13 @@
 """The benchmark's traced run (`perfbench/run.py --trace 1`) wraps package
-functions by name; this checks that every name it wraps still exists."""
+functions by name; this checks that every name it wraps still exists,
+and that greedy tests agree with the benchmark's reference evaluator."""
 
 import importlib
 from pathlib import Path
+
+from ecopool import ppo
+from ecopool.gridworld import GridConfig, generate_level
+from ecopool.policy import init_params
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -21,3 +26,23 @@ def test_layer_probe_installs_and_restores(monkeypatch):
         tracer.uninstall()
     for owner, attr, original in installed:
         assert owner.__dict__[attr] is original
+
+
+def test_test_agent_agrees_with_the_reference_evaluator(monkeypatch):
+    # The benchmark checks each scanned level against its own evaluator;
+    # this makes the test suite fail wherever those checks would.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    reference = importlib.import_module("reference")
+    compared = 0
+    for size, max_steps, n_levels in ((9, 100, 30), (19, 300, 10)):
+        grid = GridConfig(width=size, height=size, max_steps=max_steps)
+        levels = [generate_level(seed, grid) for seed in range(n_levels)]
+        for seed in range(4):
+            params = init_params(seed)
+            for level in levels:
+                episode = reference.greedy_episode(params.actor, level)
+                if not episode.tied:
+                    reward = ppo.test_agent(params, level)
+                    assert abs(reward - episode.reward) <= reference.REWARD_TOL
+                    compared += 1
+    assert compared >= 100

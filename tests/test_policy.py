@@ -16,6 +16,7 @@ from ecopool.policy import (
     LossSpec,
     Minibatch,
     PolicyParams,
+    action_probs,
     clone_params,
     draw_action,
     flatten_obs,
@@ -128,6 +129,25 @@ class TestForward:
         _, obs = reset(generate_level(0))
         with pytest.raises(FloatingPointError):
             forward(broken, obs)
+        with pytest.raises(FloatingPointError):
+            action_probs(broken, obs)
+
+    def test_nonfinite_critic_raises_in_forward_only(self):
+        params = init_params(0)
+        broken = clone_params(params)
+        broken.critic[-1][0][0, 0] = np.nan
+        _, obs = reset(generate_level(0))
+        with pytest.raises(FloatingPointError):
+            forward(broken, obs)
+        assert action_probs(broken, obs).tobytes() == forward(params, obs)[0].tobytes()
+
+    @pytest.mark.parametrize("flattened", [False, True], ids=["raw", "flattened"])
+    def test_action_probs_bit_equal_to_forward(self, flattened):
+        params = init_params(3)
+        for seed in range(10):
+            _, obs = reset(generate_level(seed))
+            x = flatten_obs(obs) if flattened else obs
+            assert action_probs(params, x).tobytes() == forward(params, x)[0].tobytes()
 
 
 class TestSampleAction:
@@ -344,6 +364,17 @@ def _with(key, value):
     return lambda data: {**data, key: value}
 
 
+def _with_entry(head, layer, which, value):
+    """Set the first entry of one layer's weights (which=0) or bias (1)."""
+
+    def edit(data):
+        entry = data[head][layer][which]
+        (entry[0] if which == 0 else entry)[0] = value
+        return data
+
+    return edit
+
+
 class TestSerialization:
     def test_json_roundtrip_exact(self):
         params = init_params(33)
@@ -392,6 +423,21 @@ class TestSerialization:
                 lambda data: {**data, "critic": [data["critic"][0] + [[0.0]]] + data["critic"][1:]},
                 "critic layer 0 is not a [weights, bias] pair",
                 id="layer-triple",
+            ),
+            pytest.param(
+                _with_entry("actor", 1, 0, math.nan),
+                "actor layer 1 holds a non-finite weight or bias",
+                id="actor-weight-nan",
+            ),
+            pytest.param(
+                _with_entry("critic", 2, 1, math.inf),
+                "critic layer 2 holds a non-finite weight or bias",
+                id="critic-bias-inf",
+            ),
+            pytest.param(
+                _with_entry("critic", 0, 0, -math.inf),
+                "critic layer 0 holds a non-finite weight or bias",
+                id="critic-weight-minus-inf",
             ),
         ],
     )

@@ -498,6 +498,19 @@ class TestSplitUpdate:
         want = plain_ppo_update(params, traj, cfg, np.random.default_rng(6), ref_opt)
         assert _state_bytes(got, opt) == _state_bytes(want, ref_opt)
 
+    def test_non_finite_new_weight_raises(self, placement, monkeypatch):
+        # One minibatch step: its loss is finite, and the weights it
+        # makes are not.
+        cfg = PpoConfig(rollout_steps=32, minibatch_size=32, update_epochs=1)
+        params = init_params(2)
+        traj = collect_rollout(params, generate_level(1), cfg.rollout_steps, np.random.default_rng(3))
+        opt = policy.Adam(params, lr=cfg.lr)
+        before = _state_bytes(params, opt)
+        monkeypatch.setattr(ppo, "_adam_update", lambda m, v, g, t, lr: np.inf)
+        with pytest.raises(FloatingPointError, match="non-finite weights"):
+            ppo_update(params, traj, cfg, np.random.default_rng(4), opt)
+        assert _state_bytes(params, opt) == before  # opt left as it was
+
 
 class TestLearnEpoch:
     def test_steps_consumed(self):
@@ -550,6 +563,26 @@ class TestTestAgent:
             for level in levels:
                 expected = full_greedy_episode(params, level)
                 assert ppo.test_agent(params, level) == expected
+
+    @pytest.mark.parametrize(
+        "size, max_steps, n_levels", [(9, 100, 30), (19, 300, 10)]
+    )
+    def test_reads_only_the_actor(self, size, max_steps, n_levels):
+        grid = GridConfig(width=size, height=size, max_steps=max_steps)
+        levels = [generate_level(seed, grid) for seed in range(n_levels)]
+        for seed in range(4):
+            params = init_params(seed)
+            no_critic = policy.clone_params(params)
+            for w, b in no_critic.critic:
+                w[...] = b[...] = np.nan
+            for level in levels:
+                assert ppo.test_agent(no_critic, level) == full_greedy_episode(params, level)
+
+    def test_non_finite_actor_raises(self):
+        params = init_params(0)
+        params.actor[-1][0][0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite network output"):
+            ppo.test_agent(params, generate_level(0))
 
     def test_forward_walker_stops_at_first_bump(self, step_calls):
         params = _always_forward_params()
