@@ -191,7 +191,7 @@ def cmd_inspect_pool(args) -> int:
     print(f"threshold: {manifest.threshold}")
     print(f"grid:      {grid.width}x{grid.height}, {grid.max_steps} steps")
     print(f"agents:    {len(manifest.agents)}")
-    print(f"main:      {'yes' if manifest.main_agent_ref else 'no'}")
+    print(f"main:      {'no' if manifest.main_agent is None else 'yes'}")
     for agent in manifest.agents:
         shown = ", ".join(str(s) for s in agent.solved[:8])
         if len(agent.solved) > 8:

@@ -32,9 +32,9 @@ from .policy import (
     PolicyParams,
     clone_params,
     init_params,
-    params_from_json,
-    params_to_json,
+    load_params,
     running_mean_params,
+    save_params,
 )
 from .ppo import PpoConfig, learn_epoch, test_agent
 
@@ -337,34 +337,59 @@ def ecosystem_learn(
 
 
 POOL_FILE = "pool.json"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
+
+
+@dataclass(frozen=True)
+class WeightsRef:
+    """A weights file of the checkpoint, named with its layer widths."""
+
+    file: str
+    widths: list[list[int]]
 
 
 @dataclass(frozen=True)
 class AgentEntry:
-    """One agent in pool.json; its weights are in the file `params_ref`."""
+    """One agent in pool.json; its weights are in the file `weights` names."""
 
     id: int
     solved: list[int]
     birth_env: int
-    params_ref: str
+    weights: WeightsRef
 
 
 @dataclass(frozen=True)
 class Manifest:
-    """A checkpoint's pool.json: the pool without its weights."""
+    """A checkpoint's pool.json: the pool without its weights.  It refuses,
+    naming the problem, a value a pool cannot use."""
 
     strategy: Strategy
     threshold: float
     grid: GridConfig
     next_id: int
     agents: list[AgentEntry]
-    main_agent_ref: str | None
+    main_agent: WeightsRef | None
     forks_absorbed: int
 
+    def __post_init__(self):
+        ids = [e.id for e in self.agents]
+        top = max(ids, default=-1)
+        files = [r.file for r in (*(e.weights for e in self.agents), self.main_agent) if r]
+        outside = [f for f in files if f in ("", "..") or Path(f).name != f]
+        for bad, problem in (
+            (not 0.0 < self.threshold <= 1.0, f"threshold must be in (0, 1], got {self.threshold}"),
+            (self.forks_absorbed < 0, f"forks_absorbed must be >= 0, got {self.forks_absorbed}"),
+            (len(set(ids)) < len(ids), f"two agents share an id: {ids}"),
+            (self.next_id <= top, f"next_id {self.next_id} is not above agent id {top}"),
+            (outside, f"refers outside itself: {', '.join(map(repr, outside))}"),
+            (len(set(files)) < len(files), f"two refs name one weights file: {files}"),
+            (self.strategy is Strategy.FORKED and self.main_agent is None, "has no main agent"),
+        ):
+            if bad:
+                raise ValueError(problem)
+
     def to_json(self) -> dict:
-        data = {"version": _CHECKPOINT_VERSION, **asdict(self)}
-        return dict(data, strategy=self.strategy.value)
+        return {"version": _CHECKPOINT_VERSION, **asdict(self), "strategy": self.strategy.value}
 
 
 def read_json(path, what: str):
@@ -429,80 +454,75 @@ def from_json(cls, data, what: str, path: str = "", partial: bool = True):
 def read_manifest(path) -> Manifest:
     """The pool.json of a checkpoint directory (or the file itself), checked.
 
-    Every key but `forks_absorbed` is required, the grid's three included;
-    each value must have its field's type, and every params ref must be a
-    bare file name inside the checkpoint.  ValueError names the problem:
-    an unreadable file, an unsupported version, a missing, unknown or
-    mistyped key, an unknown strategy, a grid `GridConfig` refuses, a ref
-    outside the checkpoint, or a forked pool without a main agent.
-    """
+    Every key is required and typed by its field.  ValueError names the
+    problem: an unreadable file, a version other than 2 (rerunning a run's
+    config.json rewrites a version 1 checkpoint), a missing, unknown or
+    mistyped key, or a value `GridConfig` or `Manifest` refuses."""
     path = Path(path)
     if path.is_dir():
         path = path / POOL_FILE
     data = read_json(path, "pool checkpoint")
-    data = dict(data) if isinstance(data, dict) else {}
-    version = data.pop("version", None)
+    version = data.pop("version", None) if isinstance(data, dict) else None
     if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported pool version {version!r} in {path}")
-    # A file written before the running mean: 0 restarts it at the next fork.
-    data.setdefault("forks_absorbed", 0)
+        raise ValueError(
+            f"unsupported pool version {version!r} in {path}: this program reads version "
+            f"{_CHECKPOINT_VERSION} only; rerun the run's config.json to write it again"
+        )
     try:
-        manifest = from_json(Manifest, data, POOL_FILE, partial=False)
+        return from_json(Manifest, data, POOL_FILE, partial=False)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad pool checkpoint {path}: {exc}") from exc
-    for ref in [e.params_ref for e in manifest.agents] + [manifest.main_agent_ref]:
-        if ref is not None and (ref in ("", "..") or Path(ref).name != ref):
-            raise ValueError(f"pool checkpoint {path} refers outside itself: {ref!r}")
-    if manifest.strategy is Strategy.FORKED and manifest.main_agent_ref is None:
-        raise ValueError(f"forked pool checkpoint {path} has no main agent")
-    return manifest
 
 
 def save_pool(pool: Pool, out_dir) -> None:
-    """Checkpoint: pool.json plus one params file per agent (and main agent)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    agents = []
-    for agent in pool.agents:
-        ref = f"agent_{agent.id}.params.json"
-        (out / ref).write_text(json.dumps(params_to_json(agent.params)))
-        agents.append(AgentEntry(agent.id, list(agent.solved), agent.birth_env, ref))
-    main_ref = None
-    if pool.main_agent is not None:
-        main_ref = "main.params.json"
-        (out / main_ref).write_text(json.dumps(params_to_json(pool.main_agent)))
+    """Checkpoint: pool.json plus one `save_params` file per agent (and
+    the main agent), which pool.json names with its layer widths.  The
+    manifest is built, and checks itself, before any file is written."""
+
+    def ref(params: PolicyParams, name: str) -> WeightsRef:
+        return WeightsRef(name, [list(head) for head in params.widths])
+
+    agents = [
+        AgentEntry(a.id, list(a.solved), a.birth_env, ref(a.params, f"agent_{a.id}.npy"))
+        for a in pool.agents
+    ]
+    main = None if pool.main_agent is None else ref(pool.main_agent, "main.npy")
     manifest = Manifest(
-        pool.strategy, pool.threshold, pool.grid, pool.next_id, agents, main_ref,
+        pool.strategy, pool.threshold, pool.grid, pool.next_id, agents, main,
         pool.forks_absorbed,
     )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for agent, entry in zip(pool.agents, agents):
+        save_params(agent.params, out / entry.weights.file)
+    if main is not None:
+        save_params(pool.main_agent, out / main.file)
     (out / POOL_FILE).write_text(json.dumps(manifest.to_json(), indent=2))
 
 
 def load_pool(in_dir) -> Pool:
-    """Rebuild a pool from `save_pool` output through `read_manifest`.
-    The RNG starts from seed 0, not where the saved pool's had got to."""
+    """Rebuild a pool from `save_pool` output through `read_manifest` and
+    `load_params`, naming a bad or missing weights file.  The RNG starts
+    from seed 0, not where the saved pool's had got to."""
     src = Path(in_dir)
     manifest = read_manifest(src)
 
-    def params(ref: str) -> PolicyParams:
-        data = read_json(src / ref, "params file")
+    def params(ref: WeightsRef) -> PolicyParams:
         try:
-            return params_from_json(data)
-        except ValueError as exc:
-            raise ValueError(f"bad params file {src / ref}: {exc}") from exc
+            return load_params(src / ref.file, ref.widths)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"bad weights file {src / ref.file}: {exc}") from exc
 
-    pool = Pool(
+    return Pool(
         strategy=manifest.strategy,
         threshold=manifest.threshold,
         grid=manifest.grid,
         rng=np.random.default_rng(0),
-        next_id=manifest.next_id,
+        agents=[
+            Agent(e.id, params(e.weights), list(e.solved), e.birth_env)
+            for e in manifest.agents
+        ],
+        main_agent=None if manifest.main_agent is None else params(manifest.main_agent),
         forks_absorbed=manifest.forks_absorbed,
+        next_id=manifest.next_id,
     )
-    pool.agents = [
-        Agent(e.id, params(e.params_ref), list(e.solved), e.birth_env)
-        for e in manifest.agents
-    ]
-    if manifest.main_agent_ref is not None:
-        pool.main_agent = params(manifest.main_agent_ref)
-    return pool

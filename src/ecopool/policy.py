@@ -15,7 +15,9 @@ its `actor` and `critic` layers are (W, b) views into that vector, so a
 copy, an equality test or a running mean is one vector operation.
 Gradients use the same layout, and Adam keeps its two moment vectors in
 it and updates them in place.  Parameters are never mutated: training
-steps return fresh vectors.
+steps return fresh vectors.  On disk an agent is the same vector:
+`save_params` writes it as a .npy file and `load_params` reads it back
+in a given layout.
 
 An action distribution is represented as a plain probability vector
 (each entry in (0,1), summing to 1).
@@ -125,15 +127,6 @@ class LossSpec:
     entropy_coef: float = 0.01
 
 
-def _init_mlp(rng: np.random.Generator, sizes: tuple[int, ...]) -> tuple[Layer, ...]:
-    layers = []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        layers.append((w, np.zeros(fan_out)))
-    return tuple(layers)
-
-
 def init_params(
     seed: int,
     obs_dim: int = OBS_DIM,
@@ -146,9 +139,13 @@ def init_params(
     is a pure function of the seed.
     """
     rng = np.random.default_rng(seed)
-    actor = _init_mlp(rng, (obs_dim, *hidden, n_actions))
-    critic = _init_mlp(rng, (obs_dim, *hidden, 1))
-    return PolicyParams(actor=actor, critic=critic)
+    widths = ((obs_dim, *hidden, n_actions), (obs_dim, *hidden, 1))
+    parts = []
+    for head in widths:
+        for fan_in, fan_out in zip(head, head[1:]):
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            parts += [rng.uniform(-limit, limit, size=fan_in * fan_out), np.zeros(fan_out)]
+    return PolicyParams.from_flat(np.concatenate(parts), widths)
 
 
 def flatten_obs(obs: np.ndarray) -> np.ndarray:
@@ -385,50 +382,31 @@ def _adam_update(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, lr: float)
     return lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def params_to_json(params: PolicyParams) -> dict:
-    """Versioned JSON layout: header plus layer-ordered row-major weights."""
-    actor_widths, critic_widths = params.widths
-    return {
-        "version": 1,
-        "arch": list(actor_widths[:-1]),
-        "heads": {"actor": actor_widths[-1], "critic": critic_widths[-1]},
-        "actor": [[w.tolist(), b.tolist()] for w, b in params.actor],
-        "critic": [[w.tolist(), b.tolist()] for w, b in params.critic],
-    }
+def save_params(params: PolicyParams, path) -> None:
+    """Write `params.flat` to `path` as a .npy file (1-D float64)."""
+    with open(path, "wb") as fh:
+        np.save(fh, params.flat, allow_pickle=False)
 
 
-def params_from_json(data) -> PolicyParams:
-    """Inverse of `params_to_json`.  ValueError, naming the key or the
-    layer, if the data is not an object, a key is missing or of the wrong
-    kind, a layer is not a [weights, bias] pair, a stored array has
-    another shape than the header's `arch` and `heads` name, or a weight
-    or bias is NaN or infinite (JSON's `NaN` and `Infinity` parse)."""
-    if not isinstance(data, dict):
-        raise ValueError("params must be a JSON object")
-    if data.get("version") != 1:
-        raise ValueError(f"unsupported params version {data.get('version')!r}")
-    for key, kind in (("arch", list), ("heads", dict), ("actor", list), ("critic", list)):
-        if key not in data:
-            raise ValueError(f"params lack key {key!r}")
-        if not isinstance(data[key], kind):
-            raise ValueError(f"params key {key!r} must be a {kind.__name__}")
-    heads = {}
-    for name in ("actor", "critic"):
-        if name not in data["heads"]:
-            raise ValueError(f"params lack key heads.{name!r}")
-        widths = (*data["arch"], data["heads"][name])
-        for i, layer in enumerate(data[name]):
-            if not (isinstance(layer, list) and len(layer) == 2):
-                raise ValueError(f"{name} layer {i} is not a [weights, bias] pair")
-        layers = tuple(
-            (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
-            for w, b in data[name]
-        )
-        expected = [((i, o), (o,)) for i, o in zip(widths, widths[1:])]
-        if [(w.shape, b.shape) for w, b in layers] != expected:
-            raise ValueError(f"stored {name} layers disagree with the params header")
-        for i, (w, b) in enumerate(layers):
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"{name} layer {i} holds a non-finite weight or bias")
-        heads[name] = layers
-    return PolicyParams(**heads)
+def load_params(path, widths) -> PolicyParams:
+    """Inverse of `save_params`, in the layout `widths`.  ValueError, naming
+    the problem, for `widths` that are not two heads of at least two
+    positive ints, or a file that is not one whole .npy array, not 1-D
+    float64, not the count of weights `widths` implies, or not finite."""
+    heads = tuple(map(tuple, widths))
+    if len(heads) != 2 or not all(
+        len(head) >= 2 and all(type(w) is int and w > 0 for w in head) for head in heads
+    ):
+        raise ValueError(f"layout {widths!r} is not two heads of at least two positive ints")
+    size = sum(i * o + o for head in heads for i, o in zip(head, head[1:]))
+    with open(path, "rb") as fh:
+        flat = np.lib.format.read_array(fh, allow_pickle=False)
+        if fh.read(1):
+            raise ValueError("bytes follow the .npy array")
+    if flat.dtype != np.float64 or flat.ndim != 1:
+        raise ValueError(f"holds a {flat.ndim}-D {flat.dtype.str} array, not 1-D float64")
+    if flat.size != size:
+        raise ValueError(f"holds {flat.size} weights, the layout {heads} needs {size}")
+    if not np.isfinite(flat).all():
+        raise ValueError("holds a NaN or infinite weight")
+    return PolicyParams.from_flat(flat, heads)

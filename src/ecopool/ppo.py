@@ -457,7 +457,7 @@ def test_agent(params: PolicyParams, level: Level) -> float:
     budget runs out, which pays 0.  Every forward the full episode would
     still make sees an observation already seen, so a non-finite output
     cannot be skipped either.  Only the actor runs, as only its argmax
-    is read; `ppo_update` and `params_from_json` refuse a non-finite
+    is read; `ppo_update` and `load_params` refuse a non-finite
     critic.
     """
     state, obs = reset(level)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ecopool import cli, harness
-from ecopool.ecosystem import Strategy, make_pool, save_pool
+from ecopool.ecosystem import Strategy, load_pool, make_pool, save_pool
 from ecopool.gridworld import generate_level, level_from_json
 from ecopool.harness import ExperimentConfig, config_to_json, load_metrics
 
@@ -350,24 +350,40 @@ def test_inspect_pool(fake_training, tmp_path, capsys):
     assert cli.main(["inspect-pool", str(tmp_path / "nope")]) == 2
 
 
-def _add_agent(manifest, **entry):
-    base = dict(id=0, solved=[3], birth_env=3, params_ref="agent_0.params.json")
-    manifest["agents"].append(dict(base, **entry))
+def _add_agent(manifest, file="agent_0.npy", **entry):
+    """Append an agent entry to a pool.json, with `next_id` above its id."""
+    weights = dict(file=file, widths=[[147, 64, 64, 3], [147, 64, 64, 1]])
+    agent = dict(dict(id=0, solved=[3], birth_env=3, weights=weights), **entry)
+    manifest["agents"].append(agent)
+    manifest["next_id"] = max(manifest["next_id"], agent["id"] + 1)
 
 
 @pytest.mark.parametrize(
     "edit, named",
     [
-        (lambda m: m.update(version=2), "unsupported pool version 2"),
-        (lambda m: m.update(main_agent_ref=None), "has no main agent"),
+        (lambda m: m.update(version=3), "unsupported pool version 3"),
+        (lambda m: m.update(version=1), "unsupported pool version 1"),
+        (lambda m: m.update(main_agent=None), "has no main agent"),
         (lambda m: m.pop("grid"), "missing pool.json key 'grid'"),
         (lambda m: m.update(threshold="0.8"), "pool.json key 'threshold': '0.8'"),
         (lambda m: m.update(next_id="x"), "pool.json key 'next_id': 'x'"),
         (lambda m: _add_agent(m, solved=["3"]), "pool.json key agents.'solved'"),
-        (lambda m: _add_agent(m, params_ref="../a.json"), "outside itself: '../a.json'"),
-        (lambda m: _add_agent(m, params_ref="/x/a.json"), "outside itself: '/x/a.json'"),
-        (lambda m: m.update(main_agent_ref="../m.json"), "outside itself: '../m.json'"),
-        (lambda m: m.update(main_agent_ref="/x/m.json"), "outside itself: '/x/m.json'"),
+        (lambda m: _add_agent(m, file="../a.json"), "outside itself: '../a.json'"),
+        (lambda m: _add_agent(m, file="/x/a.json"), "outside itself: '/x/a.json'"),
+        (lambda m: m["main_agent"].update(file="../m.json"), "outside itself: '../m.json'"),
+        (lambda m: m["main_agent"].update(file="/x/m.json"), "outside itself: '/x/m.json'"),
+        (lambda m: m.update(threshold=5.0), "threshold must be in (0, 1], got 5.0"),
+        (lambda m: m.update(threshold=float("nan")), "threshold must be in (0, 1], got nan"),
+        (lambda m: m.update(forks_absorbed=-1), "forks_absorbed must be >= 0, got -1"),
+        (
+            lambda m: (_add_agent(m, id=2), _add_agent(m, "agent_2b.npy", id=2)),
+            "two agents share an id: [2, 2]",
+        ),
+        (
+            lambda m: (_add_agent(m, id=7), m.update(next_id=0)),
+            "next_id 0 is not above agent id 7",
+        ),
+        (lambda m: _add_agent(m, file="main.npy"), "two refs name one weights file"),
     ],
 )
 def test_inspect_pool_refuses_bad_manifest(tmp_path, capsys, edit, named):
@@ -459,7 +475,7 @@ def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
         )
         run_dir = out / "run_00"
         files = ["metrics.csv", "audit.jsonl"] + sorted(
-            str(f.relative_to(run_dir)) for f in run_dir.glob("pool/*.params.json")
+            str(f.relative_to(run_dir)) for f in run_dir.glob("pool/*.npy")
         )
         outputs.append({name: (run_dir / name).read_bytes() for name in files})
     assert len(outputs[0]) > 2
@@ -470,11 +486,14 @@ def _tiny_digests(out, *flags):
     argv = ["run", "--config", str(CONFIGS / "tiny.json"), "--out", str(out), *flags]
     assert cli.main(argv) == 0
     run_dir = out / "run_00"
-    return {
+    digests = {
         name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-        for name in ("metrics.csv", "audit.jsonl", "pool/main.params.json")
-        if (run_dir / name).exists()
+        for name in ("metrics.csv", "audit.jsonl")
     }
+    main = load_pool(run_dir / "pool").main_agent
+    if main is not None:
+        digests["main agent float64"] = hashlib.sha256(main.flat.tobytes()).hexdigest()
+    return digests
 
 
 def test_tiny_config_output_hashes(tmp_path):
@@ -492,5 +511,5 @@ def test_tiny_config_forked_output_hashes(tmp_path):
     assert _tiny_digests(tmp_path / "forked", "--strategy", "forked") == {
         "metrics.csv": "e51e288dedc22129a2f7b4cfa613f7cab43530a8a10775265e0d9366b2aae06f",
         "audit.jsonl": "fba07c02dfda1bbe330a3a90466b11118b1409c24d6f11b1245bd806a4993acb",
-        "pool/main.params.json": "0765eb51320929e3d6b72038c33e356366b8ab907b405cbedc482b40e1d22e3b",
+        "main agent float64": "126d0888045126d6ce8394063f676415c77cb173aa53076befad356f1d75d6e9",
     }

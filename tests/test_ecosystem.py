@@ -1,6 +1,9 @@
-"""Pool scanning, initialization strategies, training loop, and pruning."""
+"""Pool scanning, initialization strategies, training loop, pruning and
+checkpoints."""
 
+import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +26,6 @@ from ecopool.ecosystem import (
 from ecopool.gridworld import GridConfig, generate_level
 from ecopool.policy import PolicyParams, init_params
 from ecopool.ppo import PpoConfig
-from test_policy import _with_entry
 
 FAST_CFG = PpoConfig(
     rollout_steps=256, minibatch_size=64, update_epochs=6, entropy_coef=0.02
@@ -464,8 +466,106 @@ class TestIntegration:
         assert len(pool.agents) >= 1
 
 
+def _edit_manifest(directory, edit):
+    manifest = json.loads((directory / "pool.json").read_text())
+    edit(manifest)
+    (directory / "pool.json").write_text(json.dumps(manifest))
+
+
+def _resave(change):
+    """A weights-file edit: agent 0's vector, changed, saved back as .npy."""
+
+    def edit(path, manifest):
+        array = change(np.load(path))
+        with open(path, "wb") as fh:
+            np.save(fh, array, allow_pickle=array.dtype == object)
+
+    return edit
+
+
+def _rewrite(change):
+    """A weights-file edit on agent 0's raw bytes."""
+    return lambda path, manifest: path.write_bytes(change(path.read_bytes()))
+
+
+def _with_nonfinite(value):
+    def change(flat):
+        flat = flat.copy()
+        flat[7] = value
+        return flat
+
+    return _resave(change)
+
+
+def _with_widths(widths):
+    def edit(path, manifest):
+        manifest["agents"][0]["weights"]["widths"] = widths
+
+    return edit
+
+
+def _as_npz(path, manifest):
+    flat = np.load(path)
+    with open(path, "wb") as fh:
+        np.savez(fh, flat)
+
+
+# Agent 0 of `_pool_with_agents` has the layout ((4, 4, 3), (4, 4, 1)): 60 weights.
+BAD_WEIGHTS = [
+    pytest.param(_rewrite(lambda b: b'{"version": 1}'), "magic string is not correct", id="json"),
+    pytest.param(_as_npz, "magic string is not correct", id="npz"),
+    pytest.param(_rewrite(lambda b: b""), "EOF: reading magic string", id="empty"),
+    pytest.param(_rewrite(lambda b: b[:-8]), "could only read 59 elements", id="truncated"),
+    pytest.param(_rewrite(lambda b: b + b"\0"), "bytes follow the .npy array", id="trailing"),
+    pytest.param(
+        _resave(lambda a: np.array([a], dtype=object)),
+        "Object arrays cannot be loaded when allow_pickle=False",
+        id="pickled",
+    ),
+    pytest.param(
+        _resave(lambda a: a.astype(np.float32)), "a 1-D <f4 array, not 1-D float64", id="float32"
+    ),
+    pytest.param(
+        _resave(lambda a: a.astype(">f8")), "a 1-D >f8 array, not 1-D float64", id="big-endian"
+    ),
+    pytest.param(
+        _resave(lambda a: a.reshape(6, 10)), "a 2-D <f8 array, not 1-D float64", id="2-D"
+    ),
+    pytest.param(
+        _resave(lambda a: a[:-1]),
+        "holds 59 weights, the layout ((4, 4, 3), (4, 4, 1)) needs 60",
+        id="short",
+    ),
+    pytest.param(
+        _with_widths([[4, 4, 3], [4, 5, 1]]),
+        "holds 60 weights, the layout ((4, 4, 3), (4, 5, 1)) needs 66",
+        id="other-layout",
+    ),
+    pytest.param(_with_nonfinite(np.nan), "holds a NaN or infinite weight", id="nan"),
+    pytest.param(_with_nonfinite(np.inf), "holds a NaN or infinite weight", id="inf"),
+    pytest.param(_with_nonfinite(-np.inf), "holds a NaN or infinite weight", id="minus-inf"),
+    pytest.param(lambda path, manifest: path.unlink(), "No such file or directory", id="missing"),
+]
+BAD_LAYOUTS = [
+    [[4, 4, 3]],
+    [[4, 4, 3], [4, 4, 1], [4, 1]],
+    [[4], [4, 4, 1]],
+    [[4, 0, 3], [4, 4, 1]],
+    [[4, 4, 3], [4, -4, 1]],
+]
+BAD_WEIGHTS += [
+    pytest.param(
+        _with_widths(widths),
+        f"layout {widths!r} is not two heads of at least two positive ints",
+        id=f"layout-{i}",
+    )
+    for i, widths in enumerate(BAD_LAYOUTS)
+]
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
+        # Tiny agents beside a full-size main agent: one layout per file.
         pool, _ = _pool_with_agents(
             Strategy.FORKED, [{}, {}], solved=[[3, 1], [2]]
         )
@@ -479,11 +579,39 @@ class TestCheckpoint:
         assert loaded.grid == pool.grid
         assert loaded.next_id == pool.next_id
         assert loaded.main_agent == pool.main_agent
+        assert loaded.main_agent.flat.tobytes() == pool.main_agent.flat.tobytes()
         assert loaded.forks_absorbed == pool.forks_absorbed
         assert len(loaded.agents) == len(pool.agents)
         for a, b in zip(loaded.agents, pool.agents):
             assert (a.id, a.solved, a.birth_env) == (b.id, b.solved, b.birth_env)
             assert a.params == b.params
+            assert a.params.flat.tobytes() == b.params.flat.tobytes()
+
+    def test_resave_gives_the_same_bytes(self, tmp_path):
+        pool, _ = _pool_with_agents(Strategy.FORKED, [{}, {}, {}])
+        save_pool(pool, tmp_path / "a")
+        save_pool(load_pool(tmp_path / "a"), tmp_path / "b")
+        names = sorted(f.name for f in (tmp_path / "a").iterdir())
+        assert names == ["agent_0.npy", "agent_1.npy", "agent_2.npy", "main.npy", "pool.json"]
+        assert sorted(f.name for f in (tmp_path / "b").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_manifest_records_each_layout(self, tmp_path):
+        pool = make_pool(Strategy.FORKED)
+        pool.agents.append(Agent(0, _tiny_params(0), [1], 1))
+        pool.next_id = 1
+        save_pool(pool, tmp_path)
+        manifest = json.loads((tmp_path / "pool.json").read_text())
+        assert manifest["version"] == 2
+        assert manifest["main_agent"] == {
+            "file": "main.npy",
+            "widths": [[147, 64, 64, 3], [147, 64, 64, 1]],
+        }
+        assert manifest["agents"][0]["weights"] == {
+            "file": "agent_0.npy",
+            "widths": [[4, 4, 3], [4, 4, 1]],
+        }
 
     def test_non_forked_has_no_main_ref(self, tmp_path):
         pool, _ = _pool_with_agents(Strategy.BASIC, [{}])
@@ -491,86 +619,40 @@ class TestCheckpoint:
         loaded = load_pool(tmp_path)
         assert loaded.main_agent is None
 
-    def test_manifest_without_fork_count_loads(self, tmp_path):
-        import json
-
-        pool = make_pool(Strategy.FORKED)
-        pool.forks_absorbed = 4
-        save_pool(pool, tmp_path)
-        manifest = json.loads((tmp_path / "pool.json").read_text())
-        del manifest["forks_absorbed"]
-        (tmp_path / "pool.json").write_text(json.dumps(manifest))
-        loaded = load_pool(tmp_path)
-        assert loaded.main_agent == pool.main_agent
-        assert loaded.forks_absorbed == 0
-
     def test_forked_without_main_agent_rejected(self, tmp_path):
-        import json
-
         save_pool(make_pool(Strategy.FORKED), tmp_path)
-        manifest = json.loads((tmp_path / "pool.json").read_text())
-        manifest["main_agent_ref"] = None
-        (tmp_path / "pool.json").write_text(json.dumps(manifest))
+        _edit_manifest(tmp_path, lambda m: m.update(main_agent=None))
         with pytest.raises(ValueError, match="main agent"):
             load_pool(tmp_path)
 
     def test_bad_version_rejected(self, tmp_path):
-        import json
-
         pool, _ = _pool_with_agents(Strategy.BASIC, [{}])
         save_pool(pool, tmp_path)
-        manifest = json.loads((tmp_path / "pool.json").read_text())
-        manifest["version"] = 99
-        (tmp_path / "pool.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError):
-            load_pool(tmp_path)
-
-    def test_params_file_without_a_key_names_the_file(self, tmp_path):
-        import json
-        import re
-
-        pool, _ = _pool_with_agents(Strategy.BASIC, [{}])
-        save_pool(pool, tmp_path)
-        params_file = tmp_path / "agent_0.params.json"
-        saved = json.loads(params_file.read_text())
-
-        def with_entry(head, layer, which, value):
-            return _with_entry(head, layer, which, value)(json.loads(json.dumps(saved)))
-
-        malformed = [
-            ({k: v for k, v in saved.items() if k != "arch"}, "params lack key 'arch'"),
-            ({**saved, "heads": {"critic": 1}}, "params lack key heads.'actor'"),
-            ([saved], "params must be a JSON object"),
-            ({**saved, "heads": [3, 1]}, "params key 'heads' must be a dict"),
-            (
-                {**saved, "actor": [saved["actor"][0] + [[0.0]]] + saved["actor"][1:]},
-                "actor layer 0 is not a [weights, bias] pair",
-            ),
-            (with_entry("actor", 1, 0, float("nan")), "actor layer 1 holds a non-finite weight or bias"),
-            (with_entry("critic", 0, 1, float("inf")), "critic layer 0 holds a non-finite weight or bias"),
-        ]
-        for data, problem in malformed:
-            params_file.write_text(json.dumps(data))
-            named = re.escape(f"{params_file}: {problem}")
-            with pytest.raises(ValueError, match=named):
+        for version in (1, 99):
+            _edit_manifest(tmp_path, lambda m: m.update(version=version))
+            named = f"unsupported pool version {version} in {tmp_path / 'pool.json'}"
+            with pytest.raises(ValueError, match=re.escape(named) + ".*rerun the run's config.json"):
                 load_pool(tmp_path)
-        params_file.write_text("{")
-        with pytest.raises(ValueError, match=re.escape(f"params file {params_file} is not valid JSON")):
-            load_pool(tmp_path)
-        params_file.unlink()
-        with pytest.raises(ValueError, match=re.escape(f"cannot read params file {params_file}")):
+
+    @pytest.mark.parametrize("edit, problem", BAD_WEIGHTS)
+    def test_bad_weights_file_named(self, tmp_path, edit, problem):
+        pool, _ = _pool_with_agents(Strategy.BASIC, [{}, {}])
+        save_pool(pool, tmp_path)
+        path = tmp_path / "agent_0.npy"
+        _edit_manifest(tmp_path, lambda manifest: edit(path, manifest))
+        named = re.escape(f"bad weights file {path}: ") + ".*" + re.escape(problem)
+        with pytest.raises(ValueError, match=named):
             load_pool(tmp_path)
 
     def test_manifest_without_a_key_rejected(self, tmp_path):
-        import json
-        import re
-
-        pool, _ = _pool_with_agents(Strategy.BASIC, [{}])
+        pool, _ = _pool_with_agents(Strategy.FORKED, [{}])
         save_pool(pool, tmp_path)
         saved = json.loads((tmp_path / "pool.json").read_text())
-        required = [key for key in saved if key not in ("version", "forks_absorbed")]
+        required = [key for key in saved if key != "version"]
         cases = [(saved, key, "") for key in required]
         cases.append((saved["agents"][0], "id", "agents."))
+        cases += [(saved["agents"][0]["weights"], key, "agents.weights.") for key in ("file", "widths")]
+        cases += [(saved["main_agent"], key, "main_agent.") for key in ("file", "widths")]
         cases += [(saved["grid"], key, "grid.") for key in ("width", "height", "max_steps")]
         for holder, key, path in cases:
             value = holder.pop(key)

@@ -1,10 +1,8 @@
-"""Network forward pass, manual gradients, cloning, and serialization."""
+"""Network forward pass, manual gradients, cloning, and the weights file."""
 
 import copy
-import json
 import math
 import pickle
-import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,10 +21,10 @@ from ecopool.policy import (
     forward,
     grad_loss,
     init_params,
-    params_from_json,
-    params_to_json,
+    load_params,
     running_mean_params,
     sample_action,
+    save_params,
 )
 from ecopool.ppo import collect_rollout, compute_gae
 from oracles import (
@@ -356,98 +354,17 @@ class TestAdam:
             assert params == want
 
 
-def _without(key):
-    return lambda data: {k: v for k, v in data.items() if k != key}
-
-
-def _with(key, value):
-    return lambda data: {**data, key: value}
-
-
-def _with_entry(head, layer, which, value):
-    """Set the first entry of one layer's weights (which=0) or bias (1)."""
-
-    def edit(data):
-        entry = data[head][layer][which]
-        (entry[0] if which == 0 else entry)[0] = value
-        return data
-
-    return edit
-
-
-class TestSerialization:
-    def test_json_roundtrip_exact(self):
-        params = init_params(33)
-        payload = json.dumps(params_to_json(params))
-        assert params_from_json(json.loads(payload)) == params
-
-    def test_header_contents(self):
-        data = params_to_json(init_params(0))
-        assert data["version"] == 1
-        assert data["arch"] == [147, 64, 64]
-        assert data["heads"] == {"actor": 3, "critic": 1}
-
-    def test_bad_version_rejected(self):
-        data = params_to_json(init_params(0))
-        data["version"] = 2
-        with pytest.raises(ValueError):
-            params_from_json(data)
-
-    def test_bias_of_wrong_length_rejected(self):
-        data = params_to_json(init_params(0))
-        data["actor"][0][1] = [0.0]
-        with pytest.raises(ValueError):
-            params_from_json(data)
-
-    def test_critic_layers_that_do_not_chain_rejected(self):
-        data = params_to_json(init_params(0))
-        data["critic"][0] = [np.zeros((147, 32)).tolist(), [0.0] * 32]
-        with pytest.raises(ValueError):
-            params_from_json(data)
-
+class TestWeightsFile:
     @pytest.mark.parametrize(
-        "edit, named",
-        [
-            pytest.param(_without(key), f"params lack key '{key}'", id=key)
-            for key in ("arch", "heads", "actor", "critic")
-        ]
-        + [
-            pytest.param(
-                _with("heads", {"critic": 1}), "params lack key heads.'actor'", id="heads.actor"
-            ),
-            pytest.param(
-                _with("heads", [3, 1]), "params key 'heads' must be a dict", id="heads-list"
-            ),
-            pytest.param(lambda data: [data], "params must be a JSON object", id="list"),
-            pytest.param(
-                lambda data: {**data, "critic": [data["critic"][0] + [[0.0]]] + data["critic"][1:]},
-                "critic layer 0 is not a [weights, bias] pair",
-                id="layer-triple",
-            ),
-            pytest.param(
-                _with_entry("actor", 1, 0, math.nan),
-                "actor layer 1 holds a non-finite weight or bias",
-                id="actor-weight-nan",
-            ),
-            pytest.param(
-                _with_entry("critic", 2, 1, math.inf),
-                "critic layer 2 holds a non-finite weight or bias",
-                id="critic-bias-inf",
-            ),
-            pytest.param(
-                _with_entry("critic", 0, 0, -math.inf),
-                "critic layer 0 holds a non-finite weight or bias",
-                id="critic-weight-minus-inf",
-            ),
-        ],
+        "params",
+        [init_params(33), init_params(5, obs_dim=4, hidden=(4,))],
+        ids=["default", "reduced"],
     )
-    def test_missing_key_named(self, edit, named):
-        data = edit(params_to_json(init_params(0)))
-        with pytest.raises(ValueError, match=re.escape(named)):
-            params_from_json(data)
-
-    def test_header_shape_mismatch_rejected(self):
-        data = params_to_json(init_params(0))
-        data["arch"] = [147, 32, 64]
-        with pytest.raises(ValueError):
-            params_from_json(data)
+    def test_roundtrip_bit_exact(self, tmp_path, params):
+        path = tmp_path / "w.npy"
+        save_params(params, path)
+        # The layout as pool.json holds it, lists and all.
+        loaded = load_params(path, [list(head) for head in params.widths])
+        assert loaded.widths == params.widths
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert np.load(path).tobytes() == params.flat.tobytes()
