@@ -43,7 +43,7 @@ from .harness import (
     load_metrics,
     run_suite,
 )
-from .policy import PolicyParams, forward, init_params, sample_action
+from .policy import PolicyParams, forward, init_params
 from .ppo import PpoConfig, collect_rollout, compute_gae, learn_epoch, ppo_update, test_agent
 
 __all__ = [
@@ -84,7 +84,6 @@ __all__ = [
     "render_ascii",
     "reset",
     "run_suite",
-    "sample_action",
     "save_pool",
     "step",
     "test_agent",

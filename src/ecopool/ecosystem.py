@@ -76,6 +76,12 @@ class Pool:
     tests_total: int = 0
 
 
+def check_threshold(threshold: float) -> None:
+    """The one rule for a pass threshold: ValueError unless in (0, 1]."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+
+
 def make_pool(
     strategy: Strategy,
     threshold: float = DEFAULT_THRESHOLD,
@@ -83,6 +89,7 @@ def make_pool(
     seed: int = 0,
 ) -> Pool:
     """Empty pool; under the forked strategy the main agent is born here."""
+    check_threshold(threshold)
     rng = np.random.default_rng(seed)
     pool = Pool(strategy=Strategy(strategy), threshold=threshold, grid=grid, rng=rng)
     if pool.strategy is Strategy.FORKED:
@@ -192,18 +199,18 @@ def train_until_solved(
     cfg: PpoConfig,
     budget: int = DEFAULT_BUDGET,
     threshold: float = DEFAULT_THRESHOLD,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> TrainResult:
     """Alternate learn-epochs and greedy tests until the level is solved.
 
     An agent that already solves the level consumes no training.  Budget
     exhaustion returns failed=True; the caller decides what to discard.
-    Optimizer moments are created fresh here and die with the call.
+    Optimizer moments are created fresh here and die with the call.  The
+    rollouts draw from `rng` (the pool's, under `ecosystem_learn`).
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     params = agent.params
     opt = Adam(params, lr=cfg.lr)
@@ -372,12 +379,12 @@ class Manifest:
     forks_absorbed: int
 
     def __post_init__(self):
+        check_threshold(self.threshold)
         ids = [e.id for e in self.agents]
         top = max(ids, default=-1)
-        files = [r.file for r in (*(e.weights for e in self.agents), self.main_agent) if r]
+        files = self.weights_files()
         outside = [f for f in files if f in ("", "..") or Path(f).name != f]
         for bad, problem in (
-            (not 0.0 < self.threshold <= 1.0, f"threshold must be in (0, 1], got {self.threshold}"),
             (self.forks_absorbed < 0, f"forks_absorbed must be >= 0, got {self.forks_absorbed}"),
             (len(set(ids)) < len(ids), f"two agents share an id: {ids}"),
             (self.next_id <= top, f"next_id {self.next_id} is not above agent id {top}"),
@@ -388,8 +395,11 @@ class Manifest:
             if bad:
                 raise ValueError(problem)
 
+    def weights_files(self) -> list[str]:
+        return [r.file for r in (*(e.weights for e in self.agents), self.main_agent) if r]
+
     def to_json(self) -> dict:
-        return {"version": _CHECKPOINT_VERSION, **asdict(self), "strategy": self.strategy.value}
+        return {"version": _CHECKPOINT_VERSION, **asdict(self)}
 
 
 def read_json(path, what: str):
@@ -451,6 +461,12 @@ def from_json(cls, data, what: str, path: str = "", partial: bool = True):
     return cls(**kwargs)
 
 
+def _manifest_file(path) -> Path:
+    """The pool.json of a checkpoint directory, or `path` itself."""
+    path = Path(path)
+    return path / POOL_FILE if path.is_dir() else path
+
+
 def read_manifest(path) -> Manifest:
     """The pool.json of a checkpoint directory (or the file itself), checked.
 
@@ -458,9 +474,7 @@ def read_manifest(path) -> Manifest:
     problem: an unreadable file, a version other than 2 (rerunning a run's
     config.json rewrites a version 1 checkpoint), a missing, unknown or
     mistyped key, or a value `GridConfig` or `Manifest` refuses."""
-    path = Path(path)
-    if path.is_dir():
-        path = path / POOL_FILE
+    path = _manifest_file(path)
     data = read_json(path, "pool checkpoint")
     version = data.pop("version", None) if isinstance(data, dict) else None
     if version != _CHECKPOINT_VERSION:
@@ -477,7 +491,9 @@ def read_manifest(path) -> Manifest:
 def save_pool(pool: Pool, out_dir) -> None:
     """Checkpoint: pool.json plus one `save_params` file per agent (and
     the main agent), which pool.json names with its layer widths.  The
-    manifest is built, and checks itself, before any file is written."""
+    manifest is built, and checks itself, before any file is written.
+    Saving again into `out_dir` then deletes the `agent_*.npy` and
+    `main.npy` files the new manifest does not name (a pruned agent's)."""
 
     def ref(params: PolicyParams, name: str) -> WeightsRef:
         return WeightsRef(name, [list(head) for head in params.widths])
@@ -498,14 +514,20 @@ def save_pool(pool: Pool, out_dir) -> None:
     if main is not None:
         save_params(pool.main_agent, out / main.file)
     (out / POOL_FILE).write_text(json.dumps(manifest.to_json(), indent=2))
+    named = set(manifest.weights_files())
+    for stale in [*out.glob("agent_*.npy"), *out.glob("main.npy")]:
+        if stale.name not in named:
+            stale.unlink()
 
 
-def load_pool(in_dir) -> Pool:
+def load_pool(path) -> Pool:
     """Rebuild a pool from `save_pool` output through `read_manifest` and
-    `load_params`, naming a bad or missing weights file.  The RNG starts
-    from seed 0, not where the saved pool's had got to."""
-    src = Path(in_dir)
-    manifest = read_manifest(src)
+    `load_params`, naming a bad or missing weights file.  `path` is what
+    `read_manifest` takes, and the weights are read next to the manifest.
+    The RNG starts from seed 0, not where the saved pool's had got to."""
+    manifest_file = _manifest_file(path)
+    manifest = read_manifest(manifest_file)
+    src = manifest_file.parent
 
     def params(ref: WeightsRef) -> PolicyParams:
         try:

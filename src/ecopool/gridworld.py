@@ -369,6 +369,7 @@ def level_to_json(level: Level) -> dict:
         "height": level.height,
         "max_steps": level.max_steps,
         "walls": [[x, y] for x, y in sorted(level.walls)],
+        "gaps": [list(g) for g in level.gaps],
         "start": list(level.start_pos),
         "dir": level.start_dir.name,
         "goal": list(level.goal_pos),
@@ -376,35 +377,14 @@ def level_to_json(level: Level) -> dict:
 
 
 def level_from_json(data: dict) -> Level:
-    walls = frozenset((int(x), int(y)) for x, y in data["walls"])
-    w, h = int(data["width"]), int(data["height"])
     return Level(
         seed=int(data["seed"]),
-        width=w,
-        height=h,
-        walls=walls,
-        gaps=_infer_gaps(walls, w, h),
+        width=int(data["width"]),
+        height=int(data["height"]),
+        walls=frozenset((int(x), int(y)) for x, y in data["walls"]),
+        gaps=tuple((int(x), int(y)) for x, y in data["gaps"]),
         start_pos=tuple(data["start"]),
         start_dir=Direction[data["dir"]],
         goal_pos=tuple(data["goal"]),
         max_steps=int(data["max_steps"]),
     )
-
-
-def _infer_gaps(
-    walls: frozenset[tuple[int, int]], width: int, height: int
-) -> tuple[tuple[int, int], ...]:
-    """Recover the four door cells from the wall set of a FourRooms map."""
-    col_counts = {
-        x: sum((x, y) in walls for y in range(1, height - 1))
-        for x in range(1, width - 1)
-    }
-    row_counts = {
-        y: sum((x, y) in walls for x in range(1, width - 1))
-        for y in range(1, height - 1)
-    }
-    vx = max(col_counts, key=lambda x: (col_counts[x], -x))
-    hy = max(row_counts, key=lambda y: (row_counts[y], -y))
-    gaps = [(vx, y) for y in range(1, height - 1) if (vx, y) not in walls]
-    gaps += [(x, hy) for x in range(1, width - 1) if (x, hy) not in walls]
-    return tuple(sorted(gaps))

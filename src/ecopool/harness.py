@@ -31,6 +31,7 @@ from .ecosystem import (
     EnvOutcome,
     Pool,
     Strategy,
+    check_threshold,
     ecosystem_learn,
     from_json,
     make_pool,
@@ -81,8 +82,7 @@ class ExperimentConfig:
                 f"eval_every ({self.eval_every}) must divide "
                 f"n_train_envs ({self.n_train_envs})"
             )
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+        check_threshold(self.threshold)
         if self.train_seed_base < 0 or self.eval_seed_base < 0:
             raise ValueError("seed bases must be non-negative")
         train, evals = self.train_seeds(), self.eval_seeds()
@@ -100,9 +100,7 @@ class ExperimentConfig:
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
-    data = asdict(cfg)
-    data["strategy"] = cfg.strategy.value
-    return data
+    return asdict(cfg)
 
 
 def config_from_json(data: dict) -> ExperimentConfig:
@@ -305,22 +303,16 @@ def export_aggregate(records: list[AggregateRecord], path) -> None:
 
 
 def load_metrics(path) -> list[MetricsRecord]:
-    """Inverse of export_metrics for both formats (by file extension).
-    Each column is converted by its `MetricsRecord` annotation; ValueError
-    names the columns a file lacks."""
-    path = Path(path)
-    if path.suffix == ".json":
-        entries = json.loads(path.read_text())
-        headers = [entry.keys() for entry in entries]
-    else:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            entries = list(reader)
-        headers = [reader.fieldnames or ()]
-    for header in headers:
-        missing = [c for c in METRICS_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{path} lacks metrics column {', '.join(missing)}")
+    """Inverse of `export_metrics(records, "csv", path)`, the one format
+    the program reads back (a JSON export is output only).  Each column is
+    converted by its `MetricsRecord` annotation; ValueError names the
+    columns a file lacks."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        entries = list(reader)
+    missing = [c for c in METRICS_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path} lacks metrics column {', '.join(missing)}")
     kinds = typing.get_type_hints(MetricsRecord)
     return [
         MetricsRecord(**{c: kinds[c](entry[c]) for c in METRICS_COLUMNS})

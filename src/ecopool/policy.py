@@ -213,14 +213,9 @@ def forward(params: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
     return probs, value
 
 
-def sample_action(probs: np.ndarray, rng: np.random.Generator) -> Action:
-    """Inverse-CDF draw from a 3-way distribution; advances `rng`."""
-    return draw_action(np.cumsum(probs).tolist(), rng)
-
-
 def draw_action(cdf: list[float], rng: np.random.Generator) -> Action:
-    """`sample_action` on `cdf = np.cumsum(probs).tolist()`, which a caller
-    drawing often from one distribution keeps; advances `rng`."""
+    """Inverse-CDF draw from `cdf = np.cumsum(probs).tolist()`, which a
+    caller drawing often from one distribution keeps; advances `rng`."""
     return _ACTIONS[min(bisect_right(cdf, rng.random()), len(cdf) - 1)]
 
 

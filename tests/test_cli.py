@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -416,7 +417,8 @@ def test_export_stdout_and_file(fake_training, tmp_path, capsys):
         ["export", str(run_dir), "--format", "json", "--out", str(target)]
     )
     assert rc == 0
-    assert load_metrics(target) == load_metrics(run_dir / "metrics.csv")
+    records = load_metrics(run_dir / "metrics.csv")
+    assert json.loads(target.read_text()) == [asdict(r) for r in records]
 
     assert cli.main(["export", str(tmp_path)]) == 2
 

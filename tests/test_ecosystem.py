@@ -163,7 +163,9 @@ class TestTrainUntilSolved:
     def test_already_solving_consumes_nothing(self, monkeypatch):
         monkeypatch.setattr(ecosystem, "test_agent", lambda p, l: 0.9)
         agent = Agent(id=0, params=_tiny_params(0), solved=[], birth_env=5)
-        result = train_until_solved(agent, generate_level(5), FAST_CFG)
+        result = train_until_solved(
+            agent, generate_level(5), FAST_CFG, rng=np.random.default_rng(0)
+        )
         assert result.epochs_used == 0
         assert result.steps_used == 0
         assert not result.failed
@@ -176,7 +178,9 @@ class TestTrainUntilSolved:
             ecosystem, "learn_epoch", lambda p, l, c, r, opt=None: (p, c.rollout_steps)
         )
         agent = Agent(id=0, params=_tiny_params(0), solved=[], birth_env=5)
-        result = train_until_solved(agent, generate_level(5), FAST_CFG, budget=3)
+        result = train_until_solved(
+            agent, generate_level(5), FAST_CFG, budget=3, rng=np.random.default_rng(0)
+        )
         assert result.failed
         assert result.epochs_used == 3
         assert result.steps_used == 3 * FAST_CFG.rollout_steps
@@ -194,7 +198,9 @@ class TestTrainUntilSolved:
             ecosystem, "learn_epoch", lambda p, l, c, r, opt=None: (p, c.rollout_steps)
         )
         agent = Agent(id=0, params=_tiny_params(0), solved=[], birth_env=5)
-        result = train_until_solved(agent, generate_level(5), FAST_CFG, budget=10)
+        result = train_until_solved(
+            agent, generate_level(5), FAST_CFG, budget=10, rng=np.random.default_rng(0)
+        )
         assert not result.failed
         assert result.epochs_used == 3
         assert result.steps_used == 3 * FAST_CFG.rollout_steps
@@ -214,7 +220,9 @@ class TestTrainUntilSolved:
     def test_rejects_zero_budget(self):
         agent = Agent(id=0, params=_tiny_params(0), solved=[], birth_env=0)
         with pytest.raises(ValueError):
-            train_until_solved(agent, generate_level(0), FAST_CFG, budget=0)
+            train_until_solved(
+                agent, generate_level(0), FAST_CFG, budget=0, rng=np.random.default_rng(0)
+            )
 
 
 class TestSortPool:
@@ -596,6 +604,39 @@ class TestCheckpoint:
         assert sorted(f.name for f in (tmp_path / "b").iterdir()) == names
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_loads_from_the_manifest_path(self, tmp_path):
+        pool, _ = _pool_with_agents(Strategy.FORKED, [{}, {}], solved=[[3, 1], [2]])
+        save_pool(pool, tmp_path)
+        by_dir, by_file = load_pool(tmp_path), load_pool(tmp_path / "pool.json")
+        assert len(by_file.agents) == len(by_dir.agents) == 2
+        for a, b in zip(by_file.agents, by_dir.agents):
+            assert (a.id, a.solved) == (b.id, b.solved)
+            assert a.params.flat.tobytes() == b.params.flat.tobytes()
+        assert by_file.main_agent.flat.tobytes() == by_dir.main_agent.flat.tobytes()
+
+    def test_resave_leaves_only_the_named_weights_files(self, tmp_path):
+        # A checkpoint saved again at each eval point must not keep the
+        # weights of agents pruned since the last save.
+        pool, _ = _pool_with_agents(Strategy.FORKED, [{}, {}, {}])
+        save_pool(pool, tmp_path)
+        (tmp_path / "notes.txt").write_text("kept")
+        pool.agents.pop(1)
+        save_pool(pool, tmp_path)
+        names = sorted(f.name for f in tmp_path.iterdir())
+        assert names == ["agent_0.npy", "agent_2.npy", "main.npy", "notes.txt", "pool.json"]
+        assert [a.id for a in load_pool(tmp_path).agents] == [0, 2]
+
+    @pytest.mark.parametrize("threshold", [5.0, float("nan"), 0.0])
+    def test_make_pool_refuses_a_threshold_the_checkpoint_refuses(self, tmp_path, threshold):
+        named = re.escape(f"threshold must be in (0, 1], got {threshold}")
+        with pytest.raises(ValueError, match=named):
+            make_pool(Strategy.BASIC, threshold=threshold)
+        pool = make_pool(Strategy.BASIC)
+        pool.threshold = threshold
+        with pytest.raises(ValueError, match=named):
+            save_pool(pool, tmp_path)
+        assert not tmp_path.joinpath("pool.json").exists()
 
     def test_manifest_records_each_layout(self, tmp_path):
         pool = make_pool(Strategy.FORKED)

@@ -1,5 +1,6 @@
 """Level generation, dynamics, observation encoding, and serialization."""
 
+import json
 from collections import deque
 
 import numpy as np
@@ -415,7 +416,13 @@ class TestSerialization:
             data = level_to_json(level)
             assert data["walls"] == sorted(data["walls"])
             assert data["dir"] in ("N", "E", "S", "W")
+            assert data["gaps"] == [list(g) for g in level.gaps] and len(data["gaps"]) == 4
             assert level_from_json(data) == level
+
+    def test_json_roundtrip_parsed_map(self):
+        level = parse_ascii("#######\n#>.#..#\n#..#.G#\n#.....#\n#######").level
+        assert level.gaps == ()
+        assert level_from_json(json.loads(json.dumps(level_to_json(level)))) == level
 
     def test_json_roundtrip_other_dims(self):
         config = GridConfig(width=13, height=11, max_steps=64)

@@ -9,6 +9,7 @@ import statistics
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -486,20 +487,26 @@ def test_export_json_round_trip(tmp_path):
     records = [_rec(50, 1.0 / 3.0), _rec(100, 2.0 / 3.0)]
     path = tmp_path / "metrics.json"
     export_metrics(records, "json", path)
-    data = json.loads(path.read_text())
-    assert [d["envs_seen"] for d in data] == [50, 100]
-    assert load_metrics(path) == records
+    assert json.loads(path.read_text()) == [asdict(r) for r in records]
+    with pytest.raises(ValueError, match="lacks metrics column"):
+        load_metrics(path)
 
 
 def test_load_metrics_names_missing_columns(tmp_path):
     records = [_rec(50, 0.25)]
-    for name in ("metrics.csv", "metrics.json"):
-        path = tmp_path / name
-        export_metrics(records, name.split(".")[1], path)
-        text = path.read_text().replace("pool_size", "size").replace("failures", "fails")
-        path.write_text(text)
-        with pytest.raises(ValueError, match="lacks metrics column pool_size, failures"):
-            load_metrics(path)
+    path = tmp_path / "metrics.csv"
+    export_metrics(records, "csv", path)
+    text = path.read_text().replace("pool_size", "size").replace("failures", "fails")
+    path.write_text(text)
+    with pytest.raises(ValueError, match="lacks metrics column pool_size, failures"):
+        load_metrics(path)
+    # A JSON export is output only: read back as CSV, it lacks every column.
+    path = tmp_path / "metrics.json"
+    export_metrics(records, "json", path)
+    assert json.loads(path.read_text()) == [asdict(r) for r in records]
+    named = f"{path} lacks metrics column {', '.join(METRICS_COLUMNS)}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_metrics(path)
 
 
 def test_export_rejects_unknown_format(tmp_path):

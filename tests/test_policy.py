@@ -23,7 +23,6 @@ from ecopool.policy import (
     init_params,
     load_params,
     running_mean_params,
-    sample_action,
     save_params,
 )
 from ecopool.ppo import collect_rollout, compute_gae
@@ -152,8 +151,8 @@ class TestSampleAction:
     def test_degenerate(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert sample_action(np.array([1.0, 0.0, 0.0]), rng) == Action.TURN_LEFT
-            assert sample_action(np.array([0.0, 0.0, 1.0]), rng) == Action.FORWARD
+            assert draw_action(np.cumsum([1.0, 0.0, 0.0]).tolist(), rng) == Action.TURN_LEFT
+            assert draw_action(np.cumsum([0.0, 0.0, 1.0]).tolist(), rng) == Action.FORWARD
 
     def test_uniform_frequencies(self):
         rng = np.random.default_rng(7)
@@ -161,14 +160,15 @@ class TestSampleAction:
         n = 30000
         counts = np.zeros(3)
         for _ in range(n):
-            counts[sample_action(probs, rng)] += 1
+            counts[draw_action(np.cumsum(probs).tolist(), rng)] += 1
         sigma = math.sqrt((1 / 3) * (2 / 3) / n)
         assert np.all(np.abs(counts / n - 1 / 3) < 3 * sigma)
 
     def test_deterministic_given_rng_state(self):
         probs = np.array([0.2, 0.5, 0.3])
-        a = [sample_action(probs, np.random.default_rng(s)) for s in range(50)]
-        b = [sample_action(probs, np.random.default_rng(s)) for s in range(50)]
+        cdf = np.cumsum(probs).tolist()
+        a = [draw_action(cdf, np.random.default_rng(s)) for s in range(50)]
+        b = [draw_action(cdf, np.random.default_rng(s)) for s in range(50)]
         assert a == b
 
     def test_matches_searchsorted_on_every_draw(self):
@@ -188,7 +188,6 @@ class TestSampleAction:
                 fixed = SimpleNamespace(random=lambda u=u: u)
                 expected = searchsorted_action(probs, fixed)
                 assert draw_action(cdf.tolist(), fixed) == expected
-                assert sample_action(probs, fixed) == expected
             a, b = np.random.default_rng(i), np.random.default_rng(i)
             for _ in range(50):
                 assert draw_action(cdf.tolist(), a) == searchsorted_action(probs, b)
