@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .ecosystem import Strategy, read_manifest
@@ -24,7 +24,6 @@ from .harness import (
     ExperimentConfig,
     check_strategies,
     compare_suite,
-    config_to_json,
     export_metrics,
     load_config,
     load_metrics,
@@ -119,7 +118,7 @@ def _experiment_dir(cfg: ExperimentConfig, out_dir: Path):
     """Write config.json, and log the package to the run.log sidecar (the
     one output where timestamps are allowed) while the block runs."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(config_to_json(cfg), indent=2) + "\n")
+    (out_dir / "config.json").write_text(json.dumps(asdict(cfg), indent=2) + "\n")
     handler = logging.FileHandler(out_dir / "run.log")
     handler.setFormatter(
         logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s")

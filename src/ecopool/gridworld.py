@@ -377,14 +377,27 @@ def level_to_json(level: Level) -> dict:
 
 
 def level_from_json(data: dict) -> Level:
+    """Inverse of `level_to_json`; ValueError names a missing or mistyped key."""
+
+    def read(key, parse):
+        try:
+            return parse(data[key])
+        except (KeyError, TypeError, ValueError):
+            problem = "bad" if key in data else "missing"
+            raise ValueError(f"{problem} level key {key!r}") from None
+
+    def cell(value):
+        x, y = value
+        return int(x), int(y)
+
     return Level(
-        seed=int(data["seed"]),
-        width=int(data["width"]),
-        height=int(data["height"]),
-        walls=frozenset((int(x), int(y)) for x, y in data["walls"]),
-        gaps=tuple((int(x), int(y)) for x, y in data["gaps"]),
-        start_pos=tuple(data["start"]),
-        start_dir=Direction[data["dir"]],
-        goal_pos=tuple(data["goal"]),
-        max_steps=int(data["max_steps"]),
+        seed=read("seed", int),
+        width=read("width", int),
+        height=read("height", int),
+        walls=read("walls", lambda cells: frozenset(map(cell, cells))),
+        gaps=read("gaps", lambda cells: tuple(map(cell, cells))),
+        start_pos=read("start", cell),
+        start_dir=read("dir", lambda name: Direction[name]),
+        goal_pos=read("goal", cell),
+        max_steps=read("max_steps", int),
     )

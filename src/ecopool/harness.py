@@ -99,10 +99,6 @@ class ExperimentConfig:
         return range(self.eval_seed_base, self.eval_seed_base + self.n_eval_envs)
 
 
-def config_to_json(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
-
-
 def config_from_json(data: dict) -> ExperimentConfig:
     """Strict parse: an unknown, missing or mistyped key is an error naming it."""
     return from_json(ExperimentConfig, data, "config")

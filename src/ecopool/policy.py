@@ -13,11 +13,12 @@ and its gradient and the critic's half are separate functions, which
 All weights of an agent live in one float64 vector, `PolicyParams.flat`;
 its `actor` and `critic` layers are (W, b) views into that vector, so a
 copy, an equality test or a running mean is one vector operation.
-Gradients use the same layout, and Adam keeps its two moment vectors in
-it and updates them in place.  Parameters are never mutated: training
-steps return fresh vectors.  On disk an agent is the same vector:
-`save_params` writes it as a .npy file and `load_params` reads it back
-in a given layout.
+Gradients use the same layout; Adam updates its two moment vectors in it
+in place, into work buffers its caller allocates once, and the net's
+passes apply bias, tanh and slope in place.  Parameters are never
+mutated: training steps return fresh vectors.  On disk an agent is the
+same vector: `save_params` writes it as a .npy file and `load_params`
+reads it back in a given layout.
 
 An action distribution is represented as a plain probability vector
 (each entry in (0,1), summing to 1).
@@ -160,8 +161,8 @@ def _mlp_forward(layers: tuple[Layer, ...], x: np.ndarray) -> list[np.ndarray]:
     """Returns [input, tanh activations..., final linear output]."""
     acts = [x]
     for w, b in layers[:-1]:
-        x = np.tanh(x @ w + b)
-        acts.append(x)
+        x = x @ w
+        acts.append(np.tanh(np.add(x, b, out=x), out=x))
     w, b = layers[-1]
     acts.append(x @ w + b)
     return acts
@@ -173,14 +174,16 @@ def _mlp_backward(
     d_out: np.ndarray,
     grads: tuple[Layer, ...],
 ) -> None:
-    """Backprop d(loss)/d(final output) through the layer stack into `grads`."""
+    """Backprop d(loss)/d(final output) through the layer stack into `grads`;
+    each tanh activation in `acts` is overwritten by its slope 1 - a**2."""
     d = d_out
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grads[i]
         np.matmul(acts[i].T, d, out=gw)
         d.sum(axis=0, out=gb)
         if i > 0:
-            d = (d @ layers[i][0].T) * (1.0 - acts[i] ** 2)
+            slope = np.subtract(1.0, np.square(acts[i], out=acts[i]), out=acts[i])
+            d = np.multiply(d @ layers[i][0].T, slope, out=slope)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -357,24 +360,28 @@ class Adam:
 
     def step(self, params: PolicyParams, grads: PolicyParams) -> PolicyParams:
         self.t += 1
-        update = _adam_update(self._m, self._v, grads.flat, self.t, self.lr)
+        out, tmp = np.empty((2, grads.flat.size))
+        update = _adam_update(self._m, self._v, grads.flat, self.t, self.lr, out, tmp)
         return PolicyParams.from_flat(params.flat - update, params.widths)
 
 
-def _adam_update(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, lr: float) -> np.ndarray:
+def _adam_update(m, v, g, t: int, lr: float, out, tmp) -> np.ndarray:
     """Adam's t-th step on one slice: folds the gradient `g` into the
-    moments `m` and `v` in place and returns the amount to subtract from
-    the weights.  Every operation is elementwise, so a slice of the
-    vector gets the same bits as the whole."""
+    moments `m` and `v` in place and fills `out` with the amount to
+    subtract from the weights.  `out` and `tmp` are the caller's buffers
+    of `g`'s shape, so a training loop allocates them once.  Every
+    operation is elementwise, so a slice gets the same bits as the whole."""
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
+    # This order, lr * (m / bc1) / (sqrt(v / bc2) + eps), is part of the
+    # results: an equal form, such as lr folded into bc1, moves last bits.
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * g
+    m += np.multiply(1 - ADAM_BETA1, g, out=tmp)
     v *= ADAM_BETA2
-    v += (1 - ADAM_BETA2) * g**2
-    # This operation order is part of the results: an algebraically
-    # equal form, such as folding lr into bc1, changes the last bits.
-    return lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    v += np.multiply(1 - ADAM_BETA2, np.square(g, out=tmp), out=tmp)
+    np.multiply(lr, np.divide(m, bc1, out=out), out=out)
+    np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), ADAM_EPS, out=tmp)
+    return np.divide(out, tmp, out=out)
 
 
 def save_params(params: PolicyParams, path) -> None:

@@ -9,12 +9,12 @@ returns 0, the reward the full episode would pay: the level is static
 and the argmax policy deterministic, so from a repeated state the agent
 can only cycle until `max_steps`.  A rollout forwards each state once.
 
-An update trains the actor and the critic in two loops over one
-minibatch schedule.  The networks share no weights and Adam is
-elementwise, so this gets the bits of one joint loop; inside a
-`critic_helper` block (the harness opens one for serial runs) the
-critic's loop runs on a forked helper process, in parallel with the
-actor's, where the program may fork one and use a second CPU.
+An update trains the actor and the critic, on the inputs that can be
+non-zero, in two loops over one minibatch schedule.  The networks share
+no weights and Adam is elementwise, so this gets the bits of one joint
+loop; inside a `critic_helper` block (the harness opens one for serial
+runs) the critic's loop runs on a forked helper process, in parallel
+with the actor's, where the program may fork one and use a second CPU.
 
 Everything is deterministic given the RNG passed in; training a given
 agent on a given level is a pure function of (params, level, config,
@@ -202,10 +202,10 @@ class _HeadJob:
     """One head's share of an update, sent whole to the helper.
 
     `flat`, `m` and `v` are the head's slices of the weights and of
-    Adam's moments, owned by the job and updated in place; `t` is the
-    number of Adam steps taken before the first minibatch.  `columns`
-    are the per-step arrays the head's gradient reads, observations
-    first, and each minibatch gathers its rows of them.
+    Adam's moments, cut to the live inputs' first-layer rows as `widths`
+    says, owned by the job and updated in place; `t` is the number of
+    Adam steps taken before the first minibatch.  `columns` are the
+    per-step arrays the head's gradient reads, live observations first.
     """
 
     grad: Callable  # policy's _actor_grad or _critic_grad
@@ -224,26 +224,28 @@ class _HeadJob:
 def _train_head(job: _HeadJob, stop: Callable[[], bool] | None = None):
     """Every minibatch step of one head, in schedule order.
 
+    An epoch gathers its rows of `columns` once and slices minibatches
+    off them; the gradient and Adam's buffers are allocated once.
     Returns (flat, m, v, terms), with each step's loss terms; it stops
     after the first step whose terms are not all finite, as the total
     loss of that step is then non-finite too.  Returns None as soon as
     `stop()` is true before a step.
     """
-    flat, m, v, t = job.flat, job.m, job.v, job.t
+    flat, m, v, t, size = job.flat, job.m, job.v, job.t, job.minibatch_size
     layers, _ = _head_views(flat, job.widths, 0)
-    g = np.empty_like(flat)
+    g, out, tmp = (np.empty_like(flat) for _ in range(3))
     grads, _ = _head_views(g, job.widths, 0)
     terms = []
     for order in job.orders:
-        for lo in range(0, len(order), job.minibatch_size):
+        columns = [c[order] for c in job.columns]
+        for lo in range(0, len(order), size):
             if stop is not None and stop():
                 return None
-            idx = order[lo : lo + job.minibatch_size]
-            terms.append(job.grad(layers, *(c[idx] for c in job.columns), job.spec, grads))
+            terms.append(job.grad(layers, *(c[lo : lo + size] for c in columns), job.spec, grads))
             if not all(map(math.isfinite, terms[-1])):
                 return flat, m, v, terms
             t += 1
-            flat -= _adam_update(m, v, g, t, job.lr)
+            flat -= _adam_update(m, v, g, t, job.lr, out, tmp)
     return flat, m, v, terms
 
 
@@ -359,6 +361,8 @@ def ppo_update(
     runs its own loop over the one minibatch schedule, on its slice of
     the weights and moments, and gets the bits a joint loop would.
     Inside a `critic_helper` block the critic's loop runs on the helper.
+    Only live inputs train, gathered and scattered back once: an input 0
+    in all of `traj` whose rows have zero moments would step by exactly 0.
     A non-finite loss or new weight raises FloatingPointError and leaves
     `opt` as it was.
     """
@@ -375,14 +379,18 @@ def ppo_update(
     spec = cfg.loss_spec()
     orders = [rng.permutation(n) for _ in range(cfg.update_epochs)]
     split = sum(w.size + b.size for w, b in params.actor)
+    moved = PolicyParams.from_flat((opt._m != 0) | (opt._v != 0), params.widths)
+    live = traj.obs.any(axis=0) | moved.actor[0][0].any(axis=1) | moved.critic[0][0].any(axis=1)
+    keep = PolicyParams.from_flat(np.ones(params.flat.size, dtype=bool), params.widths)
+    keep.actor[0][0][~live] = keep.critic[0][0][~live] = False
+    keep, obs = keep.flat, traj.obs[:, live]
 
-    def job(grad, part, widths, columns):
+    def job(grad, head, columns):
+        part = slice(0, split) if head == 0 else slice(split, None)
         return _HeadJob(
             grad,
-            widths,
-            params.flat[part].copy(),
-            opt._m[part].copy(),
-            opt._v[part].copy(),
+            (obs.shape[1], *params.widths[head][1:]),
+            *(vec[part][keep[part]] for vec in (params.flat, opt._m, opt._v)),
             opt.t,
             opt.lr,
             spec,
@@ -391,13 +399,10 @@ def ppo_update(
             cfg.minibatch_size,
         )
 
-    actor_part, critic_part = slice(0, split), slice(split, None)
-    actor_job = job(
-        _actor_grad, actor_part, params.widths[0], (traj.obs, traj.actions, traj.logp, advantages)
-    )
+    actor_job = job(_actor_grad, 0, (obs, traj.actions, traj.logp, advantages))
 
     def critic_job():
-        return job(_critic_grad, critic_part, params.widths[1], (traj.obs, returns))
+        return job(_critic_grad, 1, (obs, returns))
 
     actor = critic = None
     if _helper is not None and _helper.owner == os.getpid():
@@ -424,12 +429,12 @@ def ppo_update(
     for actor_terms, critic_terms in zip(actor[3], critic[3]):
         if not math.isfinite(_loss(actor_terms, critic_terms, spec)):
             raise FloatingPointError("non-finite loss (training diverged)")
-    flat = np.concatenate([actor[0], critic[0]])
+    flat = params.flat.copy()
+    flat[keep] = np.concatenate([actor[0], critic[0]])
     if not np.isfinite(flat).all():
         raise FloatingPointError("non-finite weights (training diverged)")
-    for part, (_, m, v, _) in ((actor_part, actor), (critic_part, critic)):
-        opt._m[part] = m
-        opt._v[part] = v
+    opt._m[keep] = np.concatenate([actor[1], critic[1]])
+    opt._v[keep] = np.concatenate([actor[2], critic[2]])
     opt.t += len(actor[3])
     return PolicyParams.from_flat(flat, params.widths)
 

@@ -11,6 +11,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +27,6 @@ from ecopool.harness import (
     adaptability_index,
     aggregate_runs,
     compare_suite,
-    config_to_json,
     load_metrics,
 )
 from ecopool.policy import LossSpec, grad_loss, init_params
@@ -90,7 +90,7 @@ def test_criterion_1_determinism_across_processes(tmp_path):
         grid=GRID,
     )
     cfg_path = tmp_path / "tiny.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    cfg_path.write_text(json.dumps(asdict(cfg)))
     metrics = []
     for sub in ("a", "b"):
         subprocess.run(

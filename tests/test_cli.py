@@ -13,7 +13,7 @@ import pytest
 from ecopool import cli, harness
 from ecopool.ecosystem import Strategy, load_pool, make_pool, save_pool
 from ecopool.gridworld import generate_level, level_from_json
-from ecopool.harness import ExperimentConfig, config_to_json, load_metrics
+from ecopool.harness import ExperimentConfig, load_metrics
 
 from test_acceptance import GRID, TINY_PPO
 from test_harness import _fake_learn
@@ -96,7 +96,7 @@ def test_strategy_override_recorded(fake_training, tmp_path):
         strategy=Strategy.BASIC, n_train_envs=4, eval_every=2, n_eval_envs=2, n_runs=1
     )
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    cfg_path.write_text(json.dumps(asdict(cfg)))
     out = tmp_path / "exp"
     rc = cli.main(
         ["run", "--config", str(cfg_path), "--strategy", "forked", "--out", str(out)]
@@ -109,7 +109,7 @@ def test_strategy_override_recorded(fake_training, tmp_path):
 
 
 def test_overlapping_seed_ranges_exit_2(tmp_path, capsys):
-    data = config_to_json(
+    data = asdict(
         ExperimentConfig(strategy=Strategy.BASIC, n_train_envs=100, n_eval_envs=10)
     )
     data["eval_seed_base"] = 50
@@ -121,7 +121,7 @@ def test_overlapping_seed_ranges_exit_2(tmp_path, capsys):
 
 
 def test_config_without_strategy_exit_2(tmp_path, capsys):
-    data = config_to_json(ExperimentConfig(strategy=Strategy.BASIC))
+    data = asdict(ExperimentConfig(strategy=Strategy.BASIC))
     del data["strategy"]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
@@ -137,7 +137,7 @@ def test_config_without_strategy_exit_2(tmp_path, capsys):
 
 
 def test_grid_as_list_exit_2(tmp_path, capsys):
-    data = config_to_json(ExperimentConfig(strategy=Strategy.BASIC))
+    data = asdict(ExperimentConfig(strategy=Strategy.BASIC))
     data["grid"] = [9, 9, 100]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
@@ -270,7 +270,7 @@ def test_show_env_grid_from_config(tmp_path, capsys):
         grid=harness.GridConfig(width=13, height=11, max_steps=60),
     )
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    cfg_path.write_text(json.dumps(asdict(cfg)))
     assert cli.main(["show-env", "3", "--config", str(cfg_path), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert (data["width"], data["height"], data["max_steps"]) == (13, 11, 60)
@@ -464,7 +464,7 @@ def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
         grid=GRID,
     )
     cfg_path = tmp_path / "tiny.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    cfg_path.write_text(json.dumps(asdict(cfg)))
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"blas_{threads}"

@@ -424,6 +424,19 @@ class TestSerialization:
         assert level.gaps == ()
         assert level_from_json(json.loads(json.dumps(level_to_json(level)))) == level
 
+    def test_json_missing_or_bad_key_named(self):
+        data = level_to_json(generate_level(7))
+        for key in data:  # "gaps" is missing from JSON written before it existed
+            with pytest.raises(ValueError, match=f"^missing level key '{key}'$"):
+                level_from_json({k: v for k, v in data.items() if k != key})
+        for key, value in [
+            ("seed", "x"), ("width", None), ("walls", 5), ("walls", [[1]]),
+            ("gaps", [[1, "a"]]), ("start", [1, 2, 3]), ("dir", "Q"), ("dir", 2),
+            ("goal", None), ("max_steps", [1]),
+        ]:
+            with pytest.raises(ValueError, match=f"^bad level key '{key}'$"):
+                level_from_json(dict(data, **{key: value}))
+
     def test_json_roundtrip_other_dims(self):
         config = GridConfig(width=13, height=11, max_steps=64)
         for seed in range(20):

@@ -29,7 +29,6 @@ from ecopool.harness import (
     aggregate_runs,
     compare_suite,
     config_from_json,
-    config_to_json,
     export_aggregate,
     export_metrics,
     load_config,
@@ -236,13 +235,13 @@ def test_config_json_round_trip():
         ppo=FAST_CFG,
         grid=GridConfig(width=11, height=9, max_steps=80),
     )
-    data = json.loads(json.dumps(config_to_json(cfg)))
+    data = json.loads(json.dumps(asdict(cfg)))
     assert data["strategy"] == "forked"
     assert config_from_json(data) == cfg
 
 
 def test_config_unknown_keys_named():
-    base = config_to_json(ExperimentConfig(strategy=Strategy.BASIC))
+    base = asdict(ExperimentConfig(strategy=Strategy.BASIC))
     bad = dict(base, typo_key=1)
     with pytest.raises(ValueError, match="typo_key"):
         config_from_json(bad)
@@ -252,7 +251,7 @@ def test_config_unknown_keys_named():
 
 
 def test_config_value_types_named():
-    base = config_to_json(ExperimentConfig(strategy=Strategy.BASIC))
+    base = asdict(ExperimentConfig(strategy=Strategy.BASIC))
     # An int passes for a float.
     cfg = config_from_json(dict(base, threshold=1, ppo=dict(lr=1)))
     assert (cfg.threshold, cfg.ppo.lr) == (1, 1)
@@ -272,13 +271,13 @@ def test_committed_configs_load_and_round_trip():
     paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
     assert {p.name for p in paths} >= {"desk.json", "paper_scale.json", "tiny.json"}
     for path in paths:
-        assert config_to_json(load_config(path)) == json.loads(path.read_text())
+        assert asdict(load_config(path)) == json.loads(path.read_text())
 
 
 def test_load_config(tmp_path):
     cfg = ExperimentConfig(strategy=Strategy.RANDOM, n_train_envs=20, eval_every=10)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config_to_json(cfg)))
+    path.write_text(json.dumps(asdict(cfg)))
     assert load_config(path) == cfg
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

@@ -506,10 +506,63 @@ class TestSplitUpdate:
         traj = collect_rollout(params, generate_level(1), cfg.rollout_steps, np.random.default_rng(3))
         opt = policy.Adam(params, lr=cfg.lr)
         before = _state_bytes(params, opt)
-        monkeypatch.setattr(ppo, "_adam_update", lambda m, v, g, t, lr: np.inf)
+        monkeypatch.setattr(ppo, "_adam_update", lambda m, v, g, t, lr, out, tmp: np.inf)
         with pytest.raises(FloatingPointError, match="non-finite weights"):
             ppo_update(params, traj, cfg, np.random.default_rng(4), opt)
         assert _state_bytes(params, opt) == before  # opt left as it was
+
+
+def _hand_trajectory(params, rng, n, zero_columns):
+    """n steps of random inputs for a reduced net, with `zero_columns` 0 in
+    every row; log-probs and values are the net's own."""
+    obs = rng.normal(size=(n, params.widths[0][0]))
+    obs[:, list(zero_columns)] = 0.0
+    actions = rng.integers(0, 3, size=n)
+    outputs = [policy.forward(params, x) for x in obs]
+    return Trajectory(
+        obs=obs,
+        actions=actions,
+        rewards=rng.normal(size=n),
+        dones=rng.random(n) < 0.1,
+        logp=np.array([np.log(probs[a]) for (probs, _), a in zip(outputs, actions)]),
+        values=np.array([value for _, value in outputs]),
+        bootstrap_value=0.0,
+    )
+
+
+class TestLiveInputs:
+    def test_skips_only_inputs_with_no_data_and_no_moments(self, placement, monkeypatch):
+        # Input 4 is 0 in both trajectories, so it never trains.  Input 7
+        # is 0 only in the second: its first-layer rows then have non-zero
+        # moments, so Adam still moves them, and the update must train it.
+        # A rule that skipped inputs by the 7x7x3 layout (::3) would drop
+        # inputs that carry data.
+        cfg = PpoConfig(rollout_steps=64, minibatch_size=16, update_epochs=2)
+        params = init_params(3, obs_dim=12, hidden=(8,))
+        data_rng = np.random.default_rng(3)
+        trajs = [_hand_trajectory(params, data_rng, 64, zero) for zero in ((4,), (4, 7))]
+        inputs, train_head = [], ppo._train_head
+
+        def recording_train_head(job, stop=None):
+            inputs.append(job.widths[0])
+            return train_head(job, stop)
+
+        monkeypatch.setattr(ppo, "_train_head", recording_train_head)
+        runs = []
+        for update in (ppo_update, plain_ppo_update):
+            p, opt = params, policy.Adam(params, lr=cfg.lr)
+            rng = np.random.default_rng(4)
+            runs.append([])
+            for traj in trajs:
+                p = update(p, traj, cfg, rng, opt)
+                runs[-1].append((p, _state_bytes(p, opt)))
+        assert [state for _, state in runs[0]] == [state for _, state in runs[1]]
+        assert inputs and set(inputs) == {11}
+        (first, _), (second, _) = runs[0]
+        for head in ("actor", "critic"):
+            w0, w1, w2 = (getattr(p, head)[0][0] for p in (params, first, second))
+            assert w2[4].tobytes() == w0[4].tobytes()
+            assert not np.array_equal(w2[7], w1[7])
 
 
 class TestLearnEpoch:
