@@ -23,7 +23,6 @@ from .gridworld import (
     GridConfig,
     Level,
     generate_level,
-    level_from_json,
     level_to_json,
     observe,
     parse_ascii,
@@ -71,7 +70,6 @@ __all__ = [
     "generate_level",
     "init_params",
     "learn_epoch",
-    "level_from_json",
     "level_to_json",
     "load_config",
     "load_metrics",

@@ -170,13 +170,9 @@ def cmd_compare(args) -> int:
 def cmd_show_env(args) -> int:
     grid = load_config(args.config).grid if args.config else GridConfig()
     level = generate_level(args.seed, grid)
-    data = level_to_json(level)
-    if args.json:
-        print(json.dumps(data, indent=2))
-        return 0
-    state, _ = reset(level)
-    print(render_ascii(state))
-    print(json.dumps(data, indent=2))
+    if not args.json:
+        print(render_ascii(reset(level)[0]))
+    print(json.dumps(level_to_json(level), indent=2))
     return 0
 
 
@@ -190,7 +186,7 @@ def cmd_inspect_pool(args) -> int:
     print(f"threshold: {manifest.threshold}")
     print(f"grid:      {grid.width}x{grid.height}, {grid.max_steps} steps")
     print(f"agents:    {len(manifest.agents)}")
-    print(f"main:      {'no' if manifest.main_agent is None else 'yes'}")
+    print(f"main:      {'no' if manifest.main_widths is None else 'yes'}")
     for agent in manifest.agents:
         shown = ", ".join(str(s) for s in agent.solved[:8])
         if len(agent.solved) > 8:

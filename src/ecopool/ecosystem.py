@@ -13,6 +13,9 @@ Solved-sets store level seeds, not levels: levels are regenerated on
 demand from the pool's grid config, which is exact by determinism.
 The pool is single-writer; `ecosystem_learn` owns it for the duration
 of one environment.
+
+A checkpoint is pool.json plus one weights file per agent, and one for
+a forked pool's main agent, each named by `weights_file`.
 """
 
 from __future__ import annotations
@@ -344,25 +347,23 @@ def ecosystem_learn(
 
 
 POOL_FILE = "pool.json"
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
-@dataclass(frozen=True)
-class WeightsRef:
-    """A weights file of the checkpoint, named with its layer widths."""
-
-    file: str
-    widths: list[list[int]]
+def weights_file(agent_id: int | str | None) -> str:
+    """The checkpoint file of agent `agent_id`'s weights; None names the
+    main agent's, and "*" gives the glob of every agent's."""
+    return "main.npy" if agent_id is None else f"agent_{agent_id}.npy"
 
 
 @dataclass(frozen=True)
 class AgentEntry:
-    """One agent in pool.json; its weights are in the file `weights` names."""
+    """One agent in pool.json; its weights are in `weights_file(id)`."""
 
     id: int
     solved: list[int]
     birth_env: int
-    weights: WeightsRef
+    widths: list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -375,28 +376,23 @@ class Manifest:
     grid: GridConfig
     next_id: int
     agents: list[AgentEntry]
-    main_agent: WeightsRef | None
+    main_widths: list[list[int]] | None
     forks_absorbed: int
 
     def __post_init__(self):
         check_threshold(self.threshold)
         ids = [e.id for e in self.agents]
         top = max(ids, default=-1)
-        files = self.weights_files()
-        outside = [f for f in files if f in ("", "..") or Path(f).name != f]
+        forked = self.strategy is Strategy.FORKED
         for bad, problem in (
             (self.forks_absorbed < 0, f"forks_absorbed must be >= 0, got {self.forks_absorbed}"),
             (len(set(ids)) < len(ids), f"two agents share an id: {ids}"),
             (self.next_id <= top, f"next_id {self.next_id} is not above agent id {top}"),
-            (outside, f"refers outside itself: {', '.join(map(repr, outside))}"),
-            (len(set(files)) < len(files), f"two refs name one weights file: {files}"),
-            (self.strategy is Strategy.FORKED and self.main_agent is None, "has no main agent"),
+            (forked and self.main_widths is None, "has no main agent"),
+            (not forked and self.main_widths is not None, "has a main agent but is not forked"),
         ):
             if bad:
                 raise ValueError(problem)
-
-    def weights_files(self) -> list[str]:
-        return [r.file for r in (*(e.weights for e in self.agents), self.main_agent) if r]
 
     def to_json(self) -> dict:
         return {"version": _CHECKPOINT_VERSION, **asdict(self)}
@@ -471,8 +467,8 @@ def read_manifest(path) -> Manifest:
     """The pool.json of a checkpoint directory (or the file itself), checked.
 
     Every key is required and typed by its field.  ValueError names the
-    problem: an unreadable file, a version other than 2 (rerunning a run's
-    config.json rewrites a version 1 checkpoint), a missing, unknown or
+    problem: an unreadable file, a version other than 3 (rerunning a run's
+    config.json rewrites an older checkpoint), a missing, unknown or
     mistyped key, or a value `GridConfig` or `Manifest` refuses."""
     path = _manifest_file(path)
     data = read_json(path, "pool checkpoint")
@@ -490,34 +486,30 @@ def read_manifest(path) -> Manifest:
 
 def save_pool(pool: Pool, out_dir) -> None:
     """Checkpoint: pool.json plus one `save_params` file per agent (and
-    the main agent), which pool.json names with its layer widths.  The
-    manifest is built, and checks itself, before any file is written.
-    Saving again into `out_dir` then deletes the `agent_*.npy` and
-    `main.npy` files the new manifest does not name (a pruned agent's)."""
+    the main agent), named by `weights_file`.  The manifest is built, and
+    checks itself, before any file is written.  Saving again into `out_dir`
+    then deletes the weights files of agents the pool no longer holds."""
 
-    def ref(params: PolicyParams, name: str) -> WeightsRef:
-        return WeightsRef(name, [list(head) for head in params.widths])
+    def widths(params: PolicyParams) -> list[list[int]]:
+        return [list(head) for head in params.widths]
 
-    agents = [
-        AgentEntry(a.id, list(a.solved), a.birth_env, ref(a.params, f"agent_{a.id}.npy"))
-        for a in pool.agents
-    ]
-    main = None if pool.main_agent is None else ref(pool.main_agent, "main.npy")
+    main = pool.main_agent
+    agents = [AgentEntry(a.id, list(a.solved), a.birth_env, widths(a.params)) for a in pool.agents]
     manifest = Manifest(
-        pool.strategy, pool.threshold, pool.grid, pool.next_id, agents, main,
-        pool.forks_absorbed,
+        pool.strategy, pool.threshold, pool.grid, pool.next_id, agents,
+        None if main is None else widths(main), pool.forks_absorbed,
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for agent, entry in zip(pool.agents, agents):
-        save_params(agent.params, out / entry.weights.file)
+    saved = {weights_file(a.id): a.params for a in pool.agents}
     if main is not None:
-        save_params(pool.main_agent, out / main.file)
+        saved[weights_file(None)] = main
+    for name, params in saved.items():
+        save_params(params, out / name)
     (out / POOL_FILE).write_text(json.dumps(manifest.to_json(), indent=2))
-    named = set(manifest.weights_files())
-    for stale in [*out.glob("agent_*.npy"), *out.glob("main.npy")]:
-        if stale.name not in named:
-            stale.unlink()
+    for stale in [*out.glob(weights_file("*")), out / weights_file(None)]:
+        if stale.name not in saved:
+            stale.unlink(missing_ok=True)
 
 
 def load_pool(path) -> Pool:
@@ -527,24 +519,22 @@ def load_pool(path) -> Pool:
     The RNG starts from seed 0, not where the saved pool's had got to."""
     manifest_file = _manifest_file(path)
     manifest = read_manifest(manifest_file)
-    src = manifest_file.parent
 
-    def params(ref: WeightsRef) -> PolicyParams:
+    def params(agent_id: int | None, widths: list[list[int]]) -> PolicyParams:
+        file = manifest_file.parent / weights_file(agent_id)
         try:
-            return load_params(src / ref.file, ref.widths)
+            return load_params(file, widths)
         except (OSError, ValueError) as exc:
-            raise ValueError(f"bad weights file {src / ref.file}: {exc}") from exc
+            raise ValueError(f"bad weights file {file}: {exc}") from exc
 
+    main = manifest.main_widths
     return Pool(
-        strategy=manifest.strategy,
-        threshold=manifest.threshold,
-        grid=manifest.grid,
-        rng=np.random.default_rng(0),
+        manifest.strategy, manifest.threshold, manifest.grid, np.random.default_rng(0),
         agents=[
-            Agent(e.id, params(e.weights), list(e.solved), e.birth_env)
+            Agent(e.id, params(e.id, e.widths), list(e.solved), e.birth_env)
             for e in manifest.agents
         ],
-        main_agent=None if manifest.main_agent is None else params(manifest.main_agent),
+        main_agent=None if main is None else params(None, main),
         forks_absorbed=manifest.forks_absorbed,
         next_id=manifest.next_id,
     )

@@ -14,6 +14,9 @@ order.
 
 Coordinates are (x, y) with x growing right and y growing down; direction
 N points toward smaller y.
+
+Level JSON (`level_to_json`) is output only: a level is rebuilt from its
+seed and grid by `generate_level`, or from its map by `parse_ascii`.
 """
 
 from __future__ import annotations
@@ -362,7 +365,7 @@ def parse_ascii(text: str, *, seed: int = 0, max_steps: int = 100) -> EnvState:
 
 
 def level_to_json(level: Level) -> dict:
-    """Canonical JSON form; walls sorted lexicographically."""
+    """Canonical JSON form, output only; walls sorted lexicographically."""
     return {
         "seed": level.seed,
         "width": level.width,
@@ -374,30 +377,3 @@ def level_to_json(level: Level) -> dict:
         "dir": level.start_dir.name,
         "goal": list(level.goal_pos),
     }
-
-
-def level_from_json(data: dict) -> Level:
-    """Inverse of `level_to_json`; ValueError names a missing or mistyped key."""
-
-    def read(key, parse):
-        try:
-            return parse(data[key])
-        except (KeyError, TypeError, ValueError):
-            problem = "bad" if key in data else "missing"
-            raise ValueError(f"{problem} level key {key!r}") from None
-
-    def cell(value):
-        x, y = value
-        return int(x), int(y)
-
-    return Level(
-        seed=read("seed", int),
-        width=read("width", int),
-        height=read("height", int),
-        walls=read("walls", lambda cells: frozenset(map(cell, cells))),
-        gaps=read("gaps", lambda cells: tuple(map(cell, cells))),
-        start_pos=read("start", cell),
-        start_dir=read("dir", lambda name: Direction[name]),
-        goal_pos=read("goal", cell),
-        max_steps=read("max_steps", int),
-    )

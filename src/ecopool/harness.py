@@ -302,17 +302,26 @@ def load_metrics(path) -> list[MetricsRecord]:
     """Inverse of `export_metrics(records, "csv", path)`, the one format
     the program reads back (a JSON export is output only).  Each column is
     converted by its `MetricsRecord` annotation; ValueError names the
-    columns a file lacks."""
+    columns a file lacks, or the line and column of a value that is
+    missing or does not convert."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        entries = list(reader)
+        entries = [(reader.line_num, entry) for entry in reader]
     missing = [c for c in METRICS_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"{path} lacks metrics column {', '.join(missing)}")
     kinds = typing.get_type_hints(MetricsRecord)
+
+    def cell(line: int, entry: dict, column: str):
+        try:
+            return kinds[column](entry[column])
+        except (TypeError, ValueError):
+            problem = f"metrics column {column} holds {entry[column]!r}"
+            raise ValueError(f"{path} line {line}: {problem}") from None
+
     return [
-        MetricsRecord(**{c: kinds[c](entry[c]) for c in METRICS_COLUMNS})
-        for entry in entries
+        MetricsRecord(**{c: cell(line, entry, c) for c in METRICS_COLUMNS})
+        for line, entry in entries
     ]
 
 

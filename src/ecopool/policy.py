@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridworld import Action
+from .gridworld import OBS_SHAPE, Action
 
-OBS_DIM = 7 * 7 * 3
+OBS_DIM = math.prod(OBS_SHAPE)
 HIDDEN = (64, 64)
 N_ACTIONS = 3
 _ACTIONS = tuple(Action)
@@ -151,8 +151,7 @@ def init_params(
 
 def flatten_obs(obs: np.ndarray) -> np.ndarray:
     """7x7x3 code grid -> 147-vector; object codes scaled to [0,1] by /3."""
-    x = np.asarray(obs, dtype=np.float64)
-    x = x.copy()
+    x = np.array(obs, dtype=np.float64)
     x[..., 0] /= 3.0
     return x.reshape(-1)
 

@@ -12,7 +12,7 @@ import pytest
 
 from ecopool import cli, harness
 from ecopool.ecosystem import Strategy, load_pool, make_pool, save_pool
-from ecopool.gridworld import generate_level, level_from_json
+from ecopool.gridworld import generate_level, level_to_json
 from ecopool.harness import ExperimentConfig, load_metrics
 
 from test_acceptance import GRID, TINY_PPO
@@ -261,7 +261,7 @@ def test_show_env_deterministic(capsys):
 def test_show_env_json_round_trips(capsys):
     assert cli.main(["show-env", "7", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert level_from_json(data) == generate_level(7)
+    assert data == level_to_json(generate_level(7))
 
 
 def test_show_env_grid_from_config(tmp_path, capsys):
@@ -351,10 +351,10 @@ def test_inspect_pool(fake_training, tmp_path, capsys):
     assert cli.main(["inspect-pool", str(tmp_path / "nope")]) == 2
 
 
-def _add_agent(manifest, file="agent_0.npy", **entry):
+def _add_agent(manifest, **entry):
     """Append an agent entry to a pool.json, with `next_id` above its id."""
-    weights = dict(file=file, widths=[[147, 64, 64, 3], [147, 64, 64, 1]])
-    agent = dict(dict(id=0, solved=[3], birth_env=3, weights=weights), **entry)
+    widths = [[147, 64, 64, 3], [147, 64, 64, 1]]
+    agent = dict(dict(id=0, solved=[3], birth_env=3, widths=widths), **entry)
     manifest["agents"].append(agent)
     manifest["next_id"] = max(manifest["next_id"], agent["id"] + 1)
 
@@ -362,29 +362,25 @@ def _add_agent(manifest, file="agent_0.npy", **entry):
 @pytest.mark.parametrize(
     "edit, named",
     [
-        (lambda m: m.update(version=3), "unsupported pool version 3"),
+        (lambda m: m.update(version=2), "unsupported pool version 2"),
         (lambda m: m.update(version=1), "unsupported pool version 1"),
-        (lambda m: m.update(main_agent=None), "has no main agent"),
+        (lambda m: m.update(main_widths=None), "has no main agent"),
+        (lambda m: m.update(strategy="basic"), "has a main agent but is not forked"),
         (lambda m: m.pop("grid"), "missing pool.json key 'grid'"),
         (lambda m: m.update(threshold="0.8"), "pool.json key 'threshold': '0.8'"),
         (lambda m: m.update(next_id="x"), "pool.json key 'next_id': 'x'"),
         (lambda m: _add_agent(m, solved=["3"]), "pool.json key agents.'solved'"),
-        (lambda m: _add_agent(m, file="../a.json"), "outside itself: '../a.json'"),
-        (lambda m: _add_agent(m, file="/x/a.json"), "outside itself: '/x/a.json'"),
-        (lambda m: m["main_agent"].update(file="../m.json"), "outside itself: '../m.json'"),
-        (lambda m: m["main_agent"].update(file="/x/m.json"), "outside itself: '/x/m.json'"),
         (lambda m: m.update(threshold=5.0), "threshold must be in (0, 1], got 5.0"),
         (lambda m: m.update(threshold=float("nan")), "threshold must be in (0, 1], got nan"),
         (lambda m: m.update(forks_absorbed=-1), "forks_absorbed must be >= 0, got -1"),
         (
-            lambda m: (_add_agent(m, id=2), _add_agent(m, "agent_2b.npy", id=2)),
+            lambda m: (_add_agent(m, id=2), _add_agent(m, id=2)),
             "two agents share an id: [2, 2]",
         ),
         (
             lambda m: (_add_agent(m, id=7), m.update(next_id=0)),
             "next_id 0 is not above agent id 7",
         ),
-        (lambda m: _add_agent(m, file="main.npy"), "two refs name one weights file"),
     ],
 )
 def test_inspect_pool_refuses_bad_manifest(tmp_path, capsys, edit, named):
@@ -436,6 +432,39 @@ def test_export_names_missing_column(fake_training, tmp_path, capsys):
     assert captured.out == ""
 
 
+def _with_cell(column, value):
+    """A metrics row edit: `column` set to `value`, or dropped if None."""
+
+    def edit(cells):
+        if value is None:
+            return cells[: harness.METRICS_COLUMNS.index(column)]
+        return [value if c == column else cell for c, cell in zip(harness.METRICS_COLUMNS, cells)]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        pytest.param(_with_cell("failures", None), "column failures holds None", id="missing"),
+        pytest.param(_with_cell("cum_steps", "x"), "column cum_steps holds 'x'", id="text"),
+        pytest.param(_with_cell("cum_steps", "3.0"), "column cum_steps holds '3.0'", id="float"),
+    ],
+)
+def test_export_names_bad_value(fake_training, tmp_path, capsys, edit, named):
+    out = tmp_path / "exp"
+    cli.main(_run_args(out, extra=["--runs", "1"]))
+    capsys.readouterr()
+    metrics = out / "run_00" / "metrics.csv"
+    header, first, *rest = metrics.read_text().splitlines()
+    first = ",".join(edit(first.split(",")))
+    metrics.write_text("\n".join([header, first, *rest]) + "\n")
+    assert cli.main(["export", str(out / "run_00")]) == 2
+    captured = capsys.readouterr()
+    assert f"{metrics} line 2: metrics {named}" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------- entry point
 
 
@@ -446,7 +475,7 @@ def test_module_entry_point_subprocess():
         text=True,
     )
     assert proc.returncode == 0
-    assert level_from_json(json.loads(proc.stdout)) == generate_level(3)
+    assert json.loads(proc.stdout) == level_to_json(generate_level(3))
 
 
 def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):

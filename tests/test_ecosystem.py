@@ -507,7 +507,7 @@ def _with_nonfinite(value):
 
 def _with_widths(widths):
     def edit(path, manifest):
-        manifest["agents"][0]["weights"]["widths"] = widths
+        manifest["agents"][0]["widths"] = widths
 
     return edit
 
@@ -643,33 +643,66 @@ class TestCheckpoint:
         pool.agents.append(Agent(0, _tiny_params(0), [1], 1))
         pool.next_id = 1
         save_pool(pool, tmp_path)
-        manifest = json.loads((tmp_path / "pool.json").read_text())
-        assert manifest["version"] == 2
-        assert manifest["main_agent"] == {
-            "file": "main.npy",
-            "widths": [[147, 64, 64, 3], [147, 64, 64, 1]],
+        text = (tmp_path / "pool.json").read_text()
+        manifest = json.loads(text)
+        assert manifest["version"] == 3
+        assert manifest["main_widths"] == [[147, 64, 64, 3], [147, 64, 64, 1]]
+        assert manifest["agents"][0] == {
+            "id": 0, "solved": [1], "birth_env": 1, "widths": [[4, 4, 3], [4, 4, 1]],
         }
-        assert manifest["agents"][0]["weights"] == {
-            "file": "agent_0.npy",
-            "widths": [[4, 4, 3], [4, 4, 1]],
-        }
+        assert ".npy" not in text and "file" not in text
 
     def test_non_forked_has_no_main_ref(self, tmp_path):
+        # A full-size agent beside a tiny one: one layout per file.
         pool, _ = _pool_with_agents(Strategy.BASIC, [{}])
+        pool.agents.append(Agent(1, init_params(1), [5], 5))
+        pool.next_id = 2
         save_pool(pool, tmp_path)
         loaded = load_pool(tmp_path)
         assert loaded.main_agent is None
+        assert not (tmp_path / "main.npy").exists()
+        assert len(loaded.agents) == 2
+        for a, b in zip(loaded.agents, pool.agents):
+            assert a.params.widths == b.params.widths
+            assert a.params.flat.tobytes() == b.params.flat.tobytes()
 
     def test_forked_without_main_agent_rejected(self, tmp_path):
         save_pool(make_pool(Strategy.FORKED), tmp_path)
-        _edit_manifest(tmp_path, lambda m: m.update(main_agent=None))
-        with pytest.raises(ValueError, match="main agent"):
+        _edit_manifest(tmp_path, lambda m: m.update(main_widths=None))
+        with pytest.raises(ValueError, match="has no main agent"):
+            load_pool(tmp_path)
+
+    def test_unforked_with_main_agent_rejected(self, tmp_path):
+        save_pool(make_pool(Strategy.FORKED), tmp_path)
+        _edit_manifest(tmp_path, lambda m: m.update(strategy="basic"))
+        with pytest.raises(ValueError, match="has a main agent but is not forked"):
+            load_pool(tmp_path)
+        pool = make_pool(Strategy.BASIC)
+        pool.main_agent = _tiny_params(0)
+        with pytest.raises(ValueError, match="has a main agent but is not forked"):
+            save_pool(pool, tmp_path / "basic")
+        assert not (tmp_path / "basic").exists()
+
+    def test_reads_only_the_files_named_by_agent_id(self, tmp_path, monkeypatch):
+        # Weights are found by agent id, whatever else lies beside them.
+        pool, _ = _pool_with_agents(Strategy.FORKED, [{}, {}])
+        save_pool(pool, tmp_path)
+        read = []
+        load = ecosystem.load_params
+        monkeypatch.setattr(
+            ecosystem, "load_params", lambda path, widths: read.append(path) or load(path, widths)
+        )
+        load_pool(tmp_path)
+        assert sorted(f.name for f in read) == ["agent_0.npy", "agent_1.npy", "main.npy"]
+        (tmp_path / "agent_1.npy").rename(tmp_path / "agent_01.npy")
+        named = re.escape(f"bad weights file {tmp_path / 'agent_1.npy'}")
+        with pytest.raises(ValueError, match=named):
             load_pool(tmp_path)
 
     def test_bad_version_rejected(self, tmp_path):
         pool, _ = _pool_with_agents(Strategy.BASIC, [{}])
         save_pool(pool, tmp_path)
-        for version in (1, 99):
+        for version in (1, 2, 99):
             _edit_manifest(tmp_path, lambda m: m.update(version=version))
             named = f"unsupported pool version {version} in {tmp_path / 'pool.json'}"
             with pytest.raises(ValueError, match=re.escape(named) + ".*rerun the run's config.json"):
@@ -692,8 +725,7 @@ class TestCheckpoint:
         required = [key for key in saved if key != "version"]
         cases = [(saved, key, "") for key in required]
         cases.append((saved["agents"][0], "id", "agents."))
-        cases += [(saved["agents"][0]["weights"], key, "agents.weights.") for key in ("file", "widths")]
-        cases += [(saved["main_agent"], key, "main_agent.") for key in ("file", "widths")]
+        cases.append((saved["agents"][0], "widths", "agents."))
         cases += [(saved["grid"], key, "grid.") for key in ("width", "height", "max_steps")]
         for holder, key, path in cases:
             value = holder.pop(key)

@@ -3,8 +3,12 @@
 import copy
 import multiprocessing
 import os
+import select
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +285,25 @@ class TestPpoUpdate:
             PpoConfig(rollout_steps=256, minibatch_size=512)
 
 
+KILLED_CALLER_SCRIPT = """
+import time
+from ecopool import ppo
+
+with ppo.critic_helper():
+    print("none" if ppo._helper is None else ppo._helper.proc.pid, flush=True)
+    time.sleep(120)
+"""
+
+
+def _proc_state(pid):
+    """The state letter in /proc/<pid>/stat, or None once the pid is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
 def _open_helper():
     """The helper of the open `critic_helper` block; skips the test where
     the block forks none."""
@@ -459,6 +482,34 @@ class TestSplitUpdate:
             assert ppo._helper is None
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_helper_ends_with_a_killed_caller(self):
+        # A SIGKILLed caller closes no block; its helper must still end,
+        # on EOF from the pipe, rather than be orphaned.
+        src = str(Path(ppo.__file__).resolve().parents[1])
+        with subprocess.Popen(
+            [sys.executable, "-c", KILLED_CALLER_SCRIPT],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        ) as caller:
+            try:
+                select.select([caller.stdout], [], [], 60)
+                line = caller.stdout.readline().strip()
+            finally:
+                caller.kill()
+        if line == "none":
+            pytest.skip("no critic helper: it needs fork and 2 usable CPUs")
+        pid = int(line)
+        deadline = time.monotonic() + 5
+        while _proc_state(pid) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.05)
+        state = _proc_state(pid)
+        if state not in (None, "Z"):
+            os.kill(pid, signal.SIGKILL)
+        assert state in (None, "Z"), f"helper {pid} outlived its killed caller, state {state}"
 
     def test_helper_exception_reaches_caller(self, monkeypatch):
         # The actor is slowed so that the helper's reply, its exception,
