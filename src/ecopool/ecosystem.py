@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import typing
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -39,7 +40,7 @@ from .policy import (
     running_mean_params,
     save_params,
 )
-from .ppo import PpoConfig, learn_epoch, test_agent
+from .ppo import PpoConfig, critic_helper, learn_epoch, test_agent
 
 logger = logging.getLogger(__name__)
 
@@ -207,10 +208,12 @@ def train_until_solved(
 ) -> TrainResult:
     """Alternate learn-epochs and greedy tests until the level is solved.
 
-    An agent that already solves the level consumes no training.  Budget
-    exhaustion returns failed=True; the caller decides what to discard.
-    Optimizer moments are created fresh here and die with the call.  The
-    rollouts draw from `rng` (the pool's, under `ecosystem_learn`).
+    An agent that already solves the level consumes no training, and
+    forks nothing; otherwise the learn-epochs run in a `critic_helper`
+    block.  Budget exhaustion returns failed=True; the caller decides
+    what to discard.  Optimizer moments are created fresh here and die
+    with the call.  The rollouts draw from `rng` (the pool's, under
+    `ecosystem_learn`).
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -219,10 +222,11 @@ def train_until_solved(
     opt = Adam(params, lr=cfg.lr)
     reward = test_agent(params, level)
     epochs = 0
-    while reward < threshold and epochs < budget:
-        params, _ = learn_epoch(params, level, cfg, rng, opt=opt)
-        reward = test_agent(params, level)
-        epochs += 1
+    with critic_helper() if reward < threshold else nullcontext():
+        while reward < threshold and epochs < budget:
+            params, _ = learn_epoch(params, level, cfg, rng, opt=opt)
+            reward = test_agent(params, level)
+            epochs += 1
     agent.params = params
     return TrainResult(
         agent=agent,

@@ -16,7 +16,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import multiprocessing
+import re
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -45,6 +47,8 @@ logger = logging.getLogger(__name__)
 
 METRICS = ("zeta", "pool_size", "cum_steps", "cum_tests", "failures")
 METRICS_COLUMNS = ("envs_seen",) + METRICS
+# What `export_metrics` writes for a counter and for zeta (a finite float).
+_CELL_SYNTAX = {int: r"[0-9]+", float: r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?"}
 
 
 @dataclass(frozen=True)
@@ -174,11 +178,12 @@ def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
     metrics.csv gains each checkpoint row and audit.jsonl each level's
     events as they appear, each flushed at once, so an aborted run leaves
     every completed checkpoint behind; the pool checkpoint is saved on
-    successful completion.
+    successful completion.  The run holds one `critic_helper` block,
+    opened before its output files, for all of its training.
     """
     out = Path(run_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics.csv", "w", newline="") as metrics_fh, open(
+    with critic_helper(), open(out / "metrics.csv", "w", newline="") as metrics_fh, open(
         out / "audit.jsonl", "w"
     ) as audit_fh:
         writer = csv.writer(metrics_fh)
@@ -301,9 +306,10 @@ def export_aggregate(records: list[AggregateRecord], path) -> None:
 def load_metrics(path) -> list[MetricsRecord]:
     """Inverse of `export_metrics(records, "csv", path)`, the one format
     the program reads back (a JSON export is output only).  Each column is
-    converted by its `MetricsRecord` annotation; ValueError names the
-    columns a file lacks, or the line and column of a value that is
-    missing or does not convert."""
+    converted by its `MetricsRecord` annotation, from only what the
+    program writes: a counter as plain decimal digits, zeta as a finite
+    float in `repr` form.  ValueError names the columns a file lacks, or
+    the line and column of a value that is missing or not in that form."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         entries = [(reader.line_num, entry) for entry in reader]
@@ -313,11 +319,14 @@ def load_metrics(path) -> list[MetricsRecord]:
     kinds = typing.get_type_hints(MetricsRecord)
 
     def cell(line: int, entry: dict, column: str):
+        text, kind = entry[column], kinds[column]
         try:
-            return kinds[column](entry[column])
-        except (TypeError, ValueError):
-            problem = f"metrics column {column} holds {entry[column]!r}"
-            raise ValueError(f"{path} line {line}: {problem}") from None
+            if re.fullmatch(_CELL_SYNTAX[kind], text) and math.isfinite(value := kind(text)):
+                return value
+        except (TypeError, ValueError, OverflowError):  # None, or too many digits
+            pass
+        problem = f"metrics column {column} holds {text!r}"
+        raise ValueError(f"{path} line {line}: {problem}")
 
     return [
         MetricsRecord(**{c: cell(line, entry, c) for c in METRICS_COLUMNS})
@@ -341,12 +350,11 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[list[MetricsRecord]]:
 
     With `jobs` > 1, where fork exists, the tasks share one pool of
     forked worker processes, which inherit this process's state: its
-    log handlers, and any wrapper installed before the call.  Otherwise
-    they run one after another in this process, inside a `critic_helper`
-    block, which decides for itself whether the critic half of every
-    update runs on a forked helper.  Runs are independent (each owns its
-    pool) and the split update is exact, so results are identical
-    either way.
+    log handlers, and any wrapper installed before the call; they train
+    inline.  Otherwise they run one after another in this process, each
+    in the `critic_helper` block of its `run_to_dir`.  Runs are
+    independent (each owns its pool) and the split update is exact, so
+    results are identical either way.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -356,8 +364,7 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[list[MetricsRecord]]:
             mp_context=multiprocessing.get_context("fork"),
         ) as pool:
             return list(pool.map(_suite_worker, tasks))
-    with critic_helper():
-        return [_suite_worker(task) for task in tasks]
+    return [_suite_worker(task) for task in tasks]
 
 
 def run_suite(

@@ -12,9 +12,9 @@ can only cycle until `max_steps`.  A rollout forwards each state once.
 An update trains the actor and the critic, on the inputs that can be
 non-zero, in two loops over one minibatch schedule.  The networks share
 no weights and Adam is elementwise, so this gets the bits of one joint
-loop; inside a `critic_helper` block (the harness opens one for serial
-runs) the critic's loop runs on a forked helper process, in parallel
-with the actor's, where the program may fork one and use a second CPU.
+loop; inside a `critic_helper` block (one per training loop or run)
+the critic's loop runs on a forked helper process, in parallel with
+the actor's, where the program may fork one and use a second CPU.
 
 Everything is deterministic given the RNG passed in; training a given
 agent on a given level is a pure function of (params, level, config,
@@ -24,8 +24,10 @@ rng state).
 from __future__ import annotations
 
 import math
+import mmap
 import multiprocessing
 import os
+import pickle
 import signal
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -199,7 +201,7 @@ def compute_gae(
 
 @dataclass(frozen=True)
 class _HeadJob:
-    """One head's share of an update, sent whole to the helper.
+    """One head's share of an update, the unit the helper trains.
 
     `flat`, `m` and `v` are the head's slices of the weights and of
     Adam's moments, cut to the live inputs' first-layer rows as `widths`
@@ -229,7 +231,7 @@ def _train_head(job: _HeadJob, stop: Callable[[], bool] | None = None):
     Returns (flat, m, v, terms), with each step's loss terms; it stops
     after the first step whose terms are not all finite, as the total
     loss of that step is then non-finite too.  Returns None as soon as
-    `stop()` is true before a step.
+    `stop()` is true before a step, asked before an epoch is gathered.
     """
     flat, m, v, t, size = job.flat, job.m, job.v, job.t, job.minibatch_size
     layers, _ = _head_views(flat, job.widths, 0)
@@ -237,10 +239,11 @@ def _train_head(job: _HeadJob, stop: Callable[[], bool] | None = None):
     grads, _ = _head_views(g, job.widths, 0)
     terms = []
     for order in job.orders:
-        columns = [c[order] for c in job.columns]
         for lo in range(0, len(order), size):
             if stop is not None and stop():
                 return None
+            if lo == 0:
+                columns = [c[order] for c in job.columns]
             terms.append(job.grad(layers, *(c[lo : lo + size] for c in columns), job.spec, grads))
             if not all(map(math.isfinite, terms[-1])):
                 return flat, m, v, terms
@@ -249,14 +252,29 @@ def _train_head(job: _HeadJob, stop: Callable[[], bool] | None = None):
     return flat, m, v, terms
 
 
-class _Helper:
-    """The helper process and its owner's side of the pipe to it.  The
-    owner is the process that forked it: a process forked from the owner
-    inherits the object but must not use it."""
+# The job arena's bytes, a multiple of 64; pages never written cost nothing.
+_ARENA_BYTES = 32 << 20
 
-    def __init__(self, conn, proc):
+
+def _arena_views(arena, sizes):
+    """Byte views of `arena` of the given sizes, back to back at 64-byte
+    boundaries; None if they do not fit."""
+    views, offset, whole = [], 0, memoryview(arena)
+    for size in sizes:
+        views.append(whole[offset : offset + size])
+        offset += -(-size // 64) * 64
+    return views if offset <= len(arena) else None
+
+
+class _Helper:
+    """The helper process, its owner's side of the pipe to it, and the
+    arena both map.  The owner is the process that forked it: a process
+    forked from the owner inherits the object but must not use it."""
+
+    def __init__(self, conn, proc, arena):
         self.conn = conn
         self.proc = proc
+        self.arena = arena
         self.owner = os.getpid()
         self.busy = False  # a job was sent and its reply is not read yet
 
@@ -273,6 +291,21 @@ class _Helper:
             self.busy = False
         return not self.busy
 
+    def send(self, job: _HeadJob) -> _HeadJob | None:
+        """Send `job`, its arrays copied into the arena; returns it on the
+        arena's views, or None, with nothing sent, if they do not fit."""
+        buffers = []
+        head = pickle.dumps(job, protocol=5, buffer_callback=buffers.append)
+        sizes = [b.raw().nbytes for b in buffers]
+        views = _arena_views(self.arena, sizes)
+        if views is None:
+            return None
+        for view, buffer in zip(views, buffers):
+            view[:] = buffer.raw()
+        self.conn.send((head, sizes))
+        self.busy = True
+        return pickle.loads(head, buffers=views)
+
 
 # Set while a `critic_helper` block has a live helper.
 _helper: _Helper | None = None
@@ -285,18 +318,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _serve(conn, parent_end) -> None:
-    """The helper's loop: train each critic job received, send back its
-    result, and exit when the pipe closes."""
+def _serve(conn, parent_end, arena) -> None:
+    """The helper's loop: train each job in place in the arena, reply with
+    its loss terms or its exception, and exit when the pipe closes."""
     parent_end.close()  # else the helper would hold its own EOF off
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
     while True:
         try:
-            job = conn.recv()
-        except EOFError:
+            head, sizes = conn.recv()
+        except (EOFError, OSError):  # closed, or reset over an unread reply
             return
         try:
-            reply = _train_head(job)
+            reply = _train_head(pickle.loads(head, buffers=_arena_views(arena, sizes)))[3]
         except Exception as exc:  # noqa: BLE001 - re-raised in the caller
             reply = exc
         try:
@@ -312,14 +345,18 @@ def critic_helper():
 
     Only a program's main process, where fork exists and 2 or more CPUs
     are usable, forks a helper; elsewhere the block does nothing, and a
-    block inside another shares the outer one's helper.  If the reply is
-    not there when the actor is done (the helper's core is busy or
-    slow), this process trains the critic itself and stops as soon as
-    the reply comes; both give the same bits.  A helper that dies is
-    dropped, and the block goes on inline.  Only the process that opened
-    the block uses its helper: a process forked inside the block (a
-    `--jobs` worker) updates inline.  The helper exits when the block
-    closes the pipe, and the block joins it.
+    block inside another shares the outer one's helper.  The helper
+    inherits a shared arena mapped before the fork: a job's arrays cross
+    in it, the helper trains them in place, and the pipe carries the
+    rest.  A job too big for it trains here.  If the reply is not there
+    when the actor is done (the helper's core is busy or slow), this
+    process trains its own copy of the critic and stops as soon as the
+    reply comes; both give the same bits, and an update that finds the
+    helper still busy trains here.  A dead helper is dropped, and the
+    block goes on inline.
+    Only the process that opened the block uses its helper: a process
+    forked inside the block (a `--jobs` worker) updates inline.  The
+    helper exits when the block closes the pipe, and the block joins it.
     """
     global _helper
     if (
@@ -330,12 +367,13 @@ def critic_helper():
     ):
         yield
         return
+    arena = mmap.mmap(-1, _ARENA_BYTES)
     ctx = multiprocessing.get_context("fork")
     conn, child_end = ctx.Pipe()
-    proc = ctx.Process(target=_serve, args=(child_end, conn), daemon=True)
+    proc = ctx.Process(target=_serve, args=(child_end, conn, arena), daemon=True)
     proc.start()
     child_end.close()
-    _helper = helper = _Helper(conn, proc)
+    _helper = helper = _Helper(conn, proc, arena)
     try:
         yield
     finally:
@@ -407,15 +445,16 @@ def ppo_update(
     actor = critic = None
     if _helper is not None and _helper.owner == os.getpid():
         try:
-            if _helper.free():
-                sent = critic_job()
-                _helper.conn.send(sent)
-                _helper.busy = True
+            sent = critic_job() if _helper.free() else None
+            placed = sent and _helper.send(sent)
+            if placed:
                 actor = _train_head(actor_job)
                 critic = _train_head(sent, stop=_helper.conn.poll)
                 if critic is None:  # the helper's reply came first
                     critic = _helper.conn.recv()
                     _helper.busy = False
+                    if not isinstance(critic, Exception):
+                        critic = placed.flat, placed.m, placed.v, critic
         except (OSError, EOFError):  # the helper died: its job is trained here
             _helper.close()
             _helper = critic = None  # `sent` may be half trained, in place

@@ -449,6 +449,12 @@ def _with_cell(column, value):
         pytest.param(_with_cell("failures", None), "column failures holds None", id="missing"),
         pytest.param(_with_cell("cum_steps", "x"), "column cum_steps holds 'x'", id="text"),
         pytest.param(_with_cell("cum_steps", "3.0"), "column cum_steps holds '3.0'", id="float"),
+        pytest.param(_with_cell("zeta", "nan"), "column zeta holds 'nan'", id="nan"),
+        pytest.param(_with_cell("zeta", "inf"), "column zeta holds 'inf'", id="inf"),
+        pytest.param(_with_cell("zeta", "1e999"), "column zeta holds '1e999'", id="overflow"),
+        pytest.param(_with_cell("pool_size", "1_0"), "column pool_size holds '1_0'", id="underscore"),
+        pytest.param(_with_cell("cum_steps", " 256 "), "column cum_steps holds ' 256 '", id="spaces"),
+        pytest.param(_with_cell("cum_tests", "-3"), "column cum_tests holds '-3'", id="negative"),
     ],
 )
 def test_export_names_bad_value(fake_training, tmp_path, capsys, edit, named):

@@ -3,12 +3,15 @@ checkpoints."""
 
 import json
 import logging
+import multiprocessing
+import os
 import re
+import time
 
 import numpy as np
 import pytest
 
-from ecopool import ecosystem
+from ecopool import ecosystem, policy, ppo
 from ecopool.ecosystem import (
     Agent,
     EnvOutcome,
@@ -223,6 +226,65 @@ class TestTrainUntilSolved:
             train_until_solved(
                 agent, generate_level(0), FAST_CFG, budget=0, rng=np.random.default_rng(0)
             )
+
+
+# Jobs reach the helper by reference to their gradient function, so the
+# stand-in lives at module level.
+_CALLER = os.getpid()
+
+
+def _critic_grad_slow_in_caller(*args):
+    # This process's own copy of the critic trails the helper's, so each
+    # update takes the helper's reply.
+    if os.getpid() == _CALLER:
+        time.sleep(0.02)
+    return policy._critic_grad(*args)
+
+
+def _train_seed_6(monkeypatch):
+    """train_until_solved on level 6, which a fresh agent solves in 8
+    learn-epochs, and the bytes of its weights and Adam moments."""
+    opts = []
+
+    def recording_adam(params, lr):
+        opts.append(policy.Adam(params, lr=lr))
+        return opts[-1]
+
+    monkeypatch.setattr(ecosystem, "Adam", recording_adam)
+    agent = Agent(id=0, params=init_params(6), solved=[], birth_env=6)
+    result = train_until_solved(
+        agent, generate_level(6), FAST_CFG, budget=30, rng=np.random.default_rng(0)
+    )
+    (opt,) = opts
+    return result, (opt._m.tobytes(), opt._v.tobytes(), opt.t)
+
+
+class TestTrainUntilSolvedOnHelper:
+    def test_one_helper_per_call_takes_every_critic(self, monkeypatch, helpers):
+        monkeypatch.setattr(ppo, "_critic_grad", _critic_grad_slow_in_caller)
+        result, _ = _train_seed_6(monkeypatch)
+        assert not result.failed and result.epochs_used == 8
+        assert [h.jobs for h in helpers] == [8]
+        assert helpers[0].proc.exitcode == 0
+        assert multiprocessing.active_children() == []
+
+    def test_same_bits_as_inline(self, monkeypatch, helpers):
+        result, moments = _train_seed_6(monkeypatch)
+        assert len(helpers) == 1
+        monkeypatch.setattr(ppo, "_usable_cpus", lambda: 1)
+        inline, inline_moments = _train_seed_6(monkeypatch)
+        assert len(helpers) == 1
+        assert result.agent.params.flat.tobytes() == inline.agent.params.flat.tobytes()
+        assert result == inline and moments == inline_moments
+
+    def test_agent_that_solves_forks_nothing(self, monkeypatch, helpers):
+        result, _ = _train_seed_6(monkeypatch)
+        forked = len(helpers)
+        again = train_until_solved(
+            result.agent, generate_level(6), FAST_CFG, rng=np.random.default_rng(0)
+        )
+        assert again.epochs_used == 0 and not again.failed
+        assert len(helpers) == forked
 
 
 class TestSortPool:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import re
 import signal
@@ -717,6 +718,18 @@ def test_workers_forked_inside_a_helper_block_update_inline(tmp_path):
     assert same == "True" and left == "False"
     if ppo._usable_cpus() >= 2:
         assert helper == "True"
+
+
+def test_run_to_dir_trains_on_one_helper(tmp_path, helpers):
+    # Two levels, each trained for its whole budget: per-level blocks
+    # alone would fork two helpers.
+    cfg = _cadence_cfg(n_train_envs=2, eval_every=1, n_eval_envs=1, budget=3)
+    result = run_to_dir(cfg, 0, tmp_path / "run")
+    assert [o.training_steps_used for o in result.outcomes] == [3 * FAST_CFG.rollout_steps] * 2
+    assert len(helpers) == 1
+    assert helpers[0].jobs >= 1
+    assert helpers[0].proc.exitcode == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_compare_suite_needs_two_strategies(tmp_path):

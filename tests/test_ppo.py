@@ -3,6 +3,7 @@
 import copy
 import multiprocessing
 import os
+import pickle
 import select
 import signal
 import subprocess
@@ -428,6 +429,68 @@ class TestSplitUpdate:
             assert _train(ppo_update, cfg, 3, [0.0, 0.0, 0.5, 0.0]) == want
             assert ppo._helper.busy
         assert len(sent) == 2  # the first update, and the third after the pause
+
+    def test_jobs_cross_in_the_arena(self, monkeypatch):
+        # Only the job's scalars and its arrays' sizes cross the pipe.
+        cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
+        want = _train(plain_ppo_update, cfg, 3, [0.0] * 2)
+        with ppo.critic_helper():
+            sent = _count_sends(monkeypatch, _open_helper())
+            assert _train(ppo_update, cfg, 3, [0.0] * 2) == want
+        assert len(sent) >= 1
+        assert all(len(pickle.dumps(job)) < 4096 for job in sent)
+
+    def test_job_larger_than_the_arena_trains_here(self, monkeypatch):
+        monkeypatch.setattr(ppo, "_ARENA_BYTES", 4096)
+        cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
+        want = _train(plain_ppo_update, cfg, 3, [0.0] * 2)
+        with ppo.critic_helper():
+            sent = _count_sends(monkeypatch, _open_helper())
+            assert _train(ppo_update, cfg, 3, [0.0] * 2) == want
+            assert not ppo._helper.busy
+        assert sent == []
+
+    def test_stop_before_gathering(self):
+        # A reply already waiting costs the caller no gather of an epoch.
+        class Ungathered:
+            def __getitem__(self, rows):
+                raise AssertionError("gathered an epoch")
+
+        params = init_params(0)  # no step runs, so no weight is read
+        job = ppo._HeadJob(
+            policy._critic_grad,
+            params.widths[1],
+            params.flat.copy(),
+            np.zeros(params.flat.size),
+            np.zeros(params.flat.size),
+            0,
+            1e-3,
+            LossSpec(epsilon=0.2, value_coef=0.5, entropy_coef=0.01),
+            (Ungathered(), Ungathered()),
+            [np.arange(8)],
+            4,
+        )
+        assert ppo._train_head(job, stop=lambda: True) is None
+
+    def test_block_closing_on_an_unread_reply_ends_the_helper_cleanly(self, monkeypatch):
+        # The caller's own copy of the critic wins, and the helper's reply
+        # is still unread when the block closes: the helper must take the
+        # reset pipe as its end, not fail on it.
+        caller, train_head = os.getpid(), ppo._train_head
+
+        def slow_in_helper(job, stop=None):
+            if os.getpid() != caller:
+                time.sleep(0.3)
+            return train_head(job, stop)
+
+        monkeypatch.setattr(ppo, "_train_head", slow_in_helper)
+        cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
+        with ppo.critic_helper():
+            helper = _open_helper()
+            assert _train(ppo_update, cfg, 3, [0.0]) == _train(plain_ppo_update, cfg, 3, [0.0])
+            assert helper.busy
+            time.sleep(0.6)  # the reply lands, unread
+        assert helper.proc.exitcode == 0
 
     @pytest.mark.parametrize("where", ["one usable CPU", "a child process"])
     def test_no_helper_outside_a_two_cpu_main_process(self, monkeypatch, where):
