@@ -6,9 +6,9 @@ adaptability index on a disjoint held-out range.  Multiple runs repeat
 this with different pool RNG seeds over the same level schedule;
 aggregation reports per-checkpoint means and standard errors.
 
-Everything a run writes is a pure function of (config, run seed): no
-timestamps or machine-dependent values appear in metrics, audit logs,
-checkpoints, or charts.
+Everything a run writes is a pure function of (config, run seed) under
+the OpenBLAS kernel picked for the CPU: no timestamps or host values
+appear in metrics, audit logs, checkpoints, or charts.
 """
 
 from __future__ import annotations

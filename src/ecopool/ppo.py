@@ -12,9 +12,9 @@ can only cycle until `max_steps`.  A rollout forwards each state once.
 An update trains the actor and the critic, on the inputs that can be
 non-zero, in two loops over one minibatch schedule.  The networks share
 no weights and Adam is elementwise, so this gets the bits of one joint
-loop; inside a `critic_helper` block (one per training loop or run)
-the critic's loop runs on a forked helper process, in parallel with
-the actor's, where the program may fork one and use a second CPU.
+loop.  Inside a `critic_helper` block (one per training loop or run),
+where the program may fork and use a second CPU, each update's critic
+loop runs as one job, with one reply, on a forked helper process.
 
 Everything is deterministic given the RNG passed in; training a given
 agent on a given level is a pure function of (params, level, config,
@@ -30,7 +30,7 @@ import os
 import pickle
 import signal
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,14 +224,14 @@ class _HeadJob:
 
 
 def _train_head(job: _HeadJob, stop: Callable[[], bool] | None = None):
-    """Every minibatch step of one head, in schedule order.
+    """Every minibatch step of one head, in schedule order, in place.
 
     An epoch gathers its rows of `columns` once and slices minibatches
     off them; the gradient and Adam's buffers are allocated once.
-    Returns (flat, m, v, terms), with each step's loss terms; it stops
-    after the first step whose terms are not all finite, as the total
-    loss of that step is then non-finite too.  Returns None as soon as
-    `stop()` is true before a step, asked before an epoch is gathered.
+    Returns each step's loss terms; it stops after the first step whose
+    terms are not all finite, as the total loss of that step is then
+    non-finite too.  Returns None as soon as `stop()` is true before a
+    step, asked before an epoch is gathered.
     """
     flat, m, v, t, size = job.flat, job.m, job.v, job.t, job.minibatch_size
     layers, _ = _head_views(flat, job.widths, 0)
@@ -246,10 +246,10 @@ def _train_head(job: _HeadJob, stop: Callable[[], bool] | None = None):
                 columns = [c[order] for c in job.columns]
             terms.append(job.grad(layers, *(c[lo : lo + size] for c in columns), job.spec, grads))
             if not all(map(math.isfinite, terms[-1])):
-                return flat, m, v, terms
+                return terms
             t += 1
             flat -= _adam_update(m, v, g, t, job.lr, out, tmp)
-    return flat, m, v, terms
+    return terms
 
 
 # The job arena's bytes, a multiple of 64; pages never written cost nothing.
@@ -258,8 +258,8 @@ _ARENA_BYTES = 32 << 20
 
 def _arena_views(arena, sizes):
     """Byte views of `arena` of the given sizes, back to back at 64-byte
-    boundaries; None if they do not fit."""
-    views, offset, whole = [], 0, memoryview(arena)
+    boundaries after the stop flag's 64 bytes; None if they do not fit."""
+    views, offset, whole = [], 64, memoryview(arena)
     for size in sizes:
         views.append(whole[offset : offset + size])
         offset += -(-size // 64) * 64
@@ -276,20 +276,11 @@ class _Helper:
         self.proc = proc
         self.arena = arena
         self.owner = os.getpid()
-        self.busy = False  # a job was sent and its reply is not read yet
 
     def close(self) -> None:
         """Close the pipe, which ends the helper, and join it; idempotent."""
         self.conn.close()
         self.proc.join()
-
-    def free(self) -> bool:
-        """Whether the helper can take a job now.  Reads and drops the
-        reply to a job this process finished first."""
-        if self.busy and self.conn.poll():
-            self.conn.recv()
-            self.busy = False
-        return not self.busy
 
     def send(self, job: _HeadJob) -> _HeadJob | None:
         """Send `job`, its arrays copied into the arena; returns it on the
@@ -302,8 +293,8 @@ class _Helper:
             return None
         for view, buffer in zip(views, buffers):
             view[:] = buffer.raw()
-        self.conn.send((head, sizes))
-        self.busy = True
+        with suppress(OSError):  # a dead helper shows when the job settles
+            self.conn.send((head, sizes))
         return pickle.loads(head, buffers=views)
 
 
@@ -320,7 +311,8 @@ def _usable_cpus() -> int:
 
 def _serve(conn, parent_end, arena) -> None:
     """The helper's loop: train each job in place in the arena, reply with
-    its loss terms or its exception, and exit when the pipe closes."""
+    its loss terms, None if the stop flag (the arena's first byte) ended
+    it, or its exception, and exit when the pipe closes."""
     parent_end.close()  # else the helper would hold its own EOF off
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
     while True:
@@ -329,13 +321,31 @@ def _serve(conn, parent_end, arena) -> None:
         except (EOFError, OSError):  # closed, or reset over an unread reply
             return
         try:
-            reply = _train_head(pickle.loads(head, buffers=_arena_views(arena, sizes)))[3]
+            job = pickle.loads(head, buffers=_arena_views(arena, sizes))
+            reply = _train_head(job, stop=lambda: arena[0])
         except Exception as exc:  # noqa: BLE001 - re-raised in the caller
             reply = exc
         try:
             conn.send(reply)
-        except OSError:  # the block closed before this reply was needed
+        except OSError:  # the block closed before this reply was read
             return
+
+
+def _fork_helper() -> _Helper | None:
+    """A new helper, or None, with what was made closed, if the system has
+    no memory or process to spare for one."""
+    ctx = multiprocessing.get_context("fork")
+    with ExitStack() as made:
+        try:
+            arena = made.enter_context(mmap.mmap(-1, _ARENA_BYTES))
+            conn, child_end = map(made.enter_context, ctx.Pipe())
+            proc = ctx.Process(target=_serve, args=(child_end, conn, arena), daemon=True)
+            proc.start()
+        except OSError:
+            return None
+        made.pop_all()
+    child_end.close()
+    return _Helper(conn, proc, arena)
 
 
 @contextmanager
@@ -344,16 +354,13 @@ def critic_helper():
     forked helper process, while the actor half runs here.
 
     Only a program's main process, where fork exists and 2 or more CPUs
-    are usable, forks a helper; elsewhere the block does nothing, and a
-    block inside another shares the outer one's helper.  The helper
-    inherits a shared arena mapped before the fork: a job's arrays cross
-    in it, the helper trains them in place, and the pipe carries the
-    rest.  A job too big for it trains here.  If the reply is not there
-    when the actor is done (the helper's core is busy or slow), this
-    process trains its own copy of the critic and stops as soon as the
-    reply comes; both give the same bits, and an update that finds the
-    helper still busy trains here.  A dead helper is dropped, and the
-    block goes on inline.
+    are usable, forks a helper; elsewhere, where none can start (no
+    memory or process to spare) and once the helper dies, the block
+    trains inline.  A block inside another shares the outer one's
+    helper.  The helper inherits a shared arena mapped before the fork:
+    its first 64 bytes are a stop flag, a job's arrays cross after them,
+    and the pipe carries the rest.  Each update reads the reply to the
+    one job it sent, so the helper holds nothing between updates.
     Only the process that opened the block uses its helper: a process
     forked inside the block (a `--jobs` worker) updates inline.  The
     helper exits when the block closes the pipe, and the block joins it.
@@ -364,16 +371,11 @@ def critic_helper():
         or multiprocessing.parent_process() is not None
         or "fork" not in multiprocessing.get_all_start_methods()
         or _usable_cpus() < 2
+        or (helper := _fork_helper()) is None
     ):
         yield
         return
-    arena = mmap.mmap(-1, _ARENA_BYTES)
-    ctx = multiprocessing.get_context("fork")
-    conn, child_end = ctx.Pipe()
-    proc = ctx.Process(target=_serve, args=(child_end, conn, arena), daemon=True)
-    proc.start()
-    child_end.close()
-    _helper = helper = _Helper(conn, proc, arena)
+    _helper = helper
     try:
         yield
     finally:
@@ -398,7 +400,9 @@ def ppo_update(
     an actor and a critic term, and Adam is elementwise: so each head
     runs its own loop over the one minibatch schedule, on its slice of
     the weights and moments, and gets the bits a joint loop would.
-    Inside a `critic_helper` block the critic's loop runs on the helper.
+    Inside a `critic_helper` block the critic's loop runs on the helper,
+    raced by a copy here once the actor is done (both give the same bits);
+    the update then stops that job and reads its reply, also if it raises.
     Only live inputs train, gathered and scattered back once: an input 0
     in all of `traj` whose rows have zero moments would step by exactly 0.
     A non-finite loss or new weight raises FloatingPointError and leaves
@@ -437,44 +441,40 @@ def ppo_update(
             cfg.minibatch_size,
         )
 
-    actor_job = job(_actor_grad, 0, (obs, traj.actions, traj.logp, advantages))
+    actor = job(_actor_grad, 0, (obs, traj.actions, traj.logp, advantages))
+    critic = job(_critic_grad, 1, (obs, returns))
+    helper = _helper if _helper is not None and _helper.owner == os.getpid() else None
+    placed = helper and helper.send(critic)
+    try:
+        actor_terms = _train_head(actor)
+        critic_terms = _train_head(critic, stop=placed and helper.conn.poll)
+    finally:  # settle the helper's job, also when this update raises
+        if placed:
+            helper.arena[0] = 1  # the stop flag
+            try:
+                reply = helper.conn.recv()
+            except (OSError, EOFError):  # the helper died: drop it
+                helper.close()
+                _helper = None
+            helper.arena[0] = 0
+    if critic_terms is None and _helper is helper:  # the helper's reply came first
+        if isinstance(reply, Exception):
+            raise reply
+        critic, critic_terms = placed, reply
+    elif critic_terms is None:  # the helper died mid-race: `critic` is half trained
+        critic = job(_critic_grad, 1, (obs, returns))
+        critic_terms = _train_head(critic)
 
-    def critic_job():
-        return job(_critic_grad, 1, (obs, returns))
-
-    actor = critic = None
-    if _helper is not None and _helper.owner == os.getpid():
-        try:
-            sent = critic_job() if _helper.free() else None
-            placed = sent and _helper.send(sent)
-            if placed:
-                actor = _train_head(actor_job)
-                critic = _train_head(sent, stop=_helper.conn.poll)
-                if critic is None:  # the helper's reply came first
-                    critic = _helper.conn.recv()
-                    _helper.busy = False
-                    if not isinstance(critic, Exception):
-                        critic = placed.flat, placed.m, placed.v, critic
-        except (OSError, EOFError):  # the helper died: its job is trained here
-            _helper.close()
-            _helper = critic = None  # `sent` may be half trained, in place
-        if isinstance(critic, Exception):
-            raise critic
-    if critic is None:
-        critic = _train_head(critic_job())
-    if actor is None:
-        actor = _train_head(actor_job)
-
-    for actor_terms, critic_terms in zip(actor[3], critic[3]):
-        if not math.isfinite(_loss(actor_terms, critic_terms, spec)):
+    for terms in zip(actor_terms, critic_terms):
+        if not math.isfinite(_loss(*terms, spec)):
             raise FloatingPointError("non-finite loss (training diverged)")
     flat = params.flat.copy()
-    flat[keep] = np.concatenate([actor[0], critic[0]])
+    flat[keep] = np.concatenate([actor.flat, critic.flat])
     if not np.isfinite(flat).all():
         raise FloatingPointError("non-finite weights (training diverged)")
-    opt._m[keep] = np.concatenate([actor[1], critic[1]])
-    opt._v[keep] = np.concatenate([actor[2], critic[2]])
-    opt.t += len(actor[3])
+    opt._m[keep] = np.concatenate([actor.m, critic.m])
+    opt._v[keep] = np.concatenate([actor.v, critic.v])
+    opt.t += len(actor_terms)
     return PolicyParams.from_flat(flat, params.widths)
 
 

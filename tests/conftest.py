@@ -1,8 +1,23 @@
 """Fixtures shared by the test modules."""
 
+import multiprocessing
+
 import pytest
 
 from ecopool import ppo
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Fails a test after which a child process of this one (a critic
+    helper or a `--jobs` worker) is still running; the child is killed,
+    so the next test starts clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert left == [], f"child processes outlived the test: {left}"
 
 
 @pytest.fixture

@@ -1,7 +1,11 @@
 """Rollout collection, advantage estimation, updates, and evaluation."""
 
 import copy
+import errno
+import mmap
 import multiprocessing
+import multiprocessing.connection
+import multiprocessing.process
 import os
 import pickle
 import select
@@ -342,6 +346,35 @@ def _count_sends(monkeypatch, helper):
     return sent
 
 
+def _critic_job(cfg, seed, grad):
+    """The critic job of one update at `cfg` from fresh weights, with
+    `grad` as its gradient."""
+    params = init_params(seed)
+    rng = np.random.default_rng(seed)
+    traj = collect_rollout(params, generate_level(seed), cfg.rollout_steps, rng)
+    _, returns = compute_gae(traj, cfg.gamma, cfg.lam)
+    critic = params.flat[sum(w.size + b.size for w, b in params.actor) :].copy()
+    return ppo._HeadJob(
+        grad,
+        params.widths[1],
+        critic,
+        np.zeros_like(critic),
+        np.zeros_like(critic),
+        0,
+        cfg.lr,
+        cfg.loss_spec(),
+        (traj.obs, returns),
+        [rng.permutation(len(traj)) for _ in range(cfg.update_epochs)],
+        cfg.minibatch_size,
+    )
+
+
+def _no_unread_reply(helper):
+    """Whether no reply from `helper` lands in the pipe within 0.2 s beyond
+    a helper step."""
+    return not helper.conn.poll(0.2 + HELPER_STEP_S)
+
+
 def _train(update, cfg, seed, pauses, before_update=lambda i: None):
     """(params, opt) bytes after each of len(pauses) learn epochs on one
     Adam, sleeping pauses[i] before the i-th."""
@@ -361,6 +394,32 @@ def _train(update, cfg, seed, pauses, before_update=lambda i: None):
 # Jobs reach the helper pickled, their gradient functions by reference,
 # so the stand-ins below live at module level.
 _CALLER = os.getpid()
+
+
+# A critic step on a slow helper; a job at `SLOW_CFG` has 8 of them.
+HELPER_STEP_S = 0.1
+SLOW_CFG = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
+
+
+def _critic_grad_slow_in_helper(*args):
+    if os.getpid() != _CALLER:
+        time.sleep(HELPER_STEP_S)
+    return policy._critic_grad(*args)
+
+
+def _actor_grad_fails(*args):
+    raise RuntimeError("actor failed in the caller")
+
+
+def _actor_grad_fails_late(*args):
+    time.sleep(0.3)  # the helper has died by now
+    raise RuntimeError("actor failed in the caller")
+
+
+def _critic_grad_dies_at_once_in_helper(*args):
+    if os.getpid() != _CALLER:
+        os._exit(1)
+    return policy._critic_grad(*args)
 
 
 def _critic_grad_fails_in_helper(*args):
@@ -411,24 +470,74 @@ class TestSplitUpdate:
             assert states[0][0][-1][3] == 3 * cfg.update_epochs * -(-steps // minibatch)
 
     def test_slow_helper_is_overtaken(self, monkeypatch):
-        # A helper whose core is slow: this process trains the critic
-        # itself, sends no job while the helper is busy, and drops the
-        # reply it no longer needs before it sends the next.
-        caller, train_head = os.getpid(), ppo._train_head
+        # A helper whose core is slow: every update still sends it the
+        # critic, this process trains its own copy, and the update stops
+        # the helper's job within a step rather than wait for all 8.
+        monkeypatch.setattr(ppo, "_critic_grad", _critic_grad_slow_in_helper)
+        want = _train(plain_ppo_update, SLOW_CFG, 3, [0.0] * 4)
+        seconds = []
 
-        def slow_in_helper(job, stop=None):
-            if os.getpid() != caller:
-                time.sleep(0.3)
-            return train_head(job, stop)
+        def timed_update(*args):
+            start = time.perf_counter()
+            try:
+                return ppo_update(*args)
+            finally:
+                seconds.append(time.perf_counter() - start)
 
-        monkeypatch.setattr(ppo, "_train_head", slow_in_helper)
-        cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
-        want = _train(plain_ppo_update, cfg, 3, [0.0] * 4)
         with ppo.critic_helper():
-            sent = _count_sends(monkeypatch, _open_helper())
-            assert _train(ppo_update, cfg, 3, [0.0, 0.0, 0.5, 0.0]) == want
-            assert ppo._helper.busy
-        assert len(sent) == 2  # the first update, and the third after the pause
+            helper = _open_helper()
+            sent = _count_sends(monkeypatch, helper)
+            assert _train(timed_update, SLOW_CFG, 3, [0.0] * 4) == want
+            assert ppo._helper is helper and _no_unread_reply(helper)
+        assert len(sent) == 4
+        assert max(seconds) < 4 * HELPER_STEP_S
+
+    def test_stop_flag_ends_the_job_within_a_step(self):
+        with ppo.critic_helper():
+            helper = _open_helper()
+            helper.send(_critic_job(SLOW_CFG, 3, _critic_grad_slow_in_helper))
+            time.sleep(1.5 * HELPER_STEP_S)
+            helper.arena[0] = 1
+            try:
+                assert helper.conn.poll(2 * HELPER_STEP_S)
+                assert helper.conn.recv() is None
+            finally:
+                helper.arena[0] = 0
+
+    def test_update_that_raises_settles_its_job(self, monkeypatch):
+        # The caller fails while the helper is mid-job: the update reads
+        # the job's reply before it raises, so the next update in the
+        # block sends its own job and gets the plain bits.
+        monkeypatch.setattr(ppo, "_critic_grad", _critic_grad_slow_in_helper)
+        monkeypatch.setattr(ppo, "_actor_grad", _actor_grad_fails)
+        params = init_params(6)
+        traj = collect_rollout(params, generate_level(6), SLOW_CFG.rollout_steps, np.random.default_rng(6))
+        opt = policy.Adam(params, lr=SLOW_CFG.lr)
+        with ppo.critic_helper():
+            helper = _open_helper()
+            sent = _count_sends(monkeypatch, helper)
+            with pytest.raises(RuntimeError, match="actor failed in the caller"):
+                ppo_update(params, traj, SLOW_CFG, np.random.default_rng(7), opt)
+            assert _no_unread_reply(helper)  # the helper's whole job takes 0.8 s
+            monkeypatch.setattr(ppo, "_actor_grad", policy._actor_grad)
+            got = ppo_update(params, traj, SLOW_CFG, np.random.default_rng(7), opt)
+            assert ppo._helper is helper and len(sent) == 2
+        ref_opt = policy.Adam(params, lr=SLOW_CFG.lr)
+        want = plain_ppo_update(params, traj, SLOW_CFG, np.random.default_rng(7), ref_opt)
+        assert _state_bytes(got, opt) == _state_bytes(want, ref_opt)
+
+    def test_helper_dying_while_the_caller_raises_keeps_its_exception(self, monkeypatch):
+        monkeypatch.setattr(ppo, "_critic_grad", _critic_grad_dies_at_once_in_helper)
+        monkeypatch.setattr(ppo, "_actor_grad", _actor_grad_fails_late)
+        params = init_params(6)
+        traj = collect_rollout(params, generate_level(6), SLOW_CFG.rollout_steps, np.random.default_rng(6))
+        with ppo.critic_helper():
+            pid = _open_helper().proc.pid
+            with pytest.raises(RuntimeError, match="actor failed in the caller"):
+                ppo_update(params, traj, SLOW_CFG, np.random.default_rng(7))
+            assert ppo._helper is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
     def test_jobs_cross_in_the_arena(self, monkeypatch):
         # Only the job's scalars and its arrays' sizes cross the pipe.
@@ -447,7 +556,7 @@ class TestSplitUpdate:
         with ppo.critic_helper():
             sent = _count_sends(monkeypatch, _open_helper())
             assert _train(ppo_update, cfg, 3, [0.0] * 2) == want
-            assert not ppo._helper.busy
+            assert _no_unread_reply(ppo._helper)
         assert sent == []
 
     def test_stop_before_gathering(self):
@@ -472,25 +581,48 @@ class TestSplitUpdate:
         )
         assert ppo._train_head(job, stop=lambda: True) is None
 
-    def test_block_closing_on_an_unread_reply_ends_the_helper_cleanly(self, monkeypatch):
-        # The caller's own copy of the critic wins, and the helper's reply
-        # is still unread when the block closes: the helper must take the
-        # reset pipe as its end, not fail on it.
-        caller, train_head = os.getpid(), ppo._train_head
-
-        def slow_in_helper(job, stop=None):
-            if os.getpid() != caller:
-                time.sleep(0.3)
-            return train_head(job, stop)
-
-        monkeypatch.setattr(ppo, "_train_head", slow_in_helper)
-        cfg = PpoConfig(rollout_steps=128, minibatch_size=32, update_epochs=2)
+    def test_block_closing_on_an_unread_reply_ends_the_helper_cleanly(self):
+        # A job sent outside an update, whose reply is still unread when
+        # the block closes: the helper must take the reset pipe as its
+        # end, not fail on it.
         with ppo.critic_helper():
             helper = _open_helper()
-            assert _train(ppo_update, cfg, 3, [0.0]) == _train(plain_ppo_update, cfg, 3, [0.0])
-            assert helper.busy
-            time.sleep(0.6)  # the reply lands, unread
+            assert helper.send(_critic_job(SLOW_CFG, 3, policy._critic_grad)) is not None
+            assert helper.conn.poll(5)  # the reply lands, unread
         assert helper.proc.exitcode == 0
+
+    @pytest.mark.parametrize("refused", ["mmap", "pipe", "start"])
+    def test_helper_that_cannot_start_means_inline(self, monkeypatch, refused):
+        # The arena, the pipe or the fork fails, as under a pids limit or
+        # out of memory: the block trains inline and closes what it made.
+        if ppo._usable_cpus() < 2:
+            pytest.skip("no critic helper: it needs fork and 2 usable CPUs")
+        made, real_mmap, real_pipe = [], mmap.mmap, multiprocessing.connection.Pipe
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        def recording_mmap(*args):
+            made.append(real_mmap(*args))
+            return made[-1]
+
+        def recording_pipe(*args):
+            made.extend(real_pipe(*args))
+            return made[-2:]
+
+        monkeypatch.setattr(mmap, "mmap", refuse if refused == "mmap" else recording_mmap)
+        monkeypatch.setattr(
+            multiprocessing.connection, "Pipe", refuse if refused == "pipe" else recording_pipe
+        )
+        if refused == "start":
+            monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        want = _train(plain_ppo_update, SLOW_CFG, 3, [0.0] * 2)
+        with ppo.critic_helper():
+            assert ppo._helper is None
+            assert _train(ppo_update, SLOW_CFG, 3, [0.0] * 2) == want
+        assert len(made) == {"mmap": 0, "pipe": 1, "start": 3}[refused]
+        assert all(thing.closed for thing in made)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("where", ["one usable CPU", "a child process"])
     def test_no_helper_outside_a_two_cpu_main_process(self, monkeypatch, where):
@@ -587,7 +719,7 @@ class TestSplitUpdate:
             helper = _open_helper()
             with pytest.raises(RuntimeError, match="critic failed in the helper"):
                 ppo_update(params, traj, cfg, np.random.default_rng(7), opt)
-            assert ppo._helper is helper and not helper.busy
+            assert ppo._helper is helper and _no_unread_reply(helper)
         assert _state_bytes(params, opt) == _state_bytes(params, policy.Adam(params, lr=cfg.lr))
 
     @pytest.mark.parametrize("head", ["actor", "critic"])
