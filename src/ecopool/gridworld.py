@@ -123,12 +123,18 @@ def _stream(seed: int, label: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _grid_lines(w: int, h: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> set[tuple[int, int]]:
+    """Every cell of the columns `xs` and the rows `ys` of a w x h grid."""
+    return {(x, y) for x in range(w) for y in ys} | {(x, y) for x in xs for y in range(h)}
+
+
 def generate_level(seed: int, config: GridConfig = GridConfig()) -> Level:
     """Build the FourRooms level for `seed`.
 
     Draw order (one independent RNG stream each): vertical wall x,
     horizontal wall y, the four gaps (top, bottom, left, right segment),
-    start cell, start direction, goal cell.  Goal placement rejects
+    start cell, start direction, goal cell.  The walls are the border
+    and the two wall lines, less the four gaps.  Goal placement rejects
     collisions with the start cell for a bounded number of retries.
 
     `config` was checked when it was built.  Raises ValueError for a
@@ -155,18 +161,7 @@ def generate_level(seed: int, config: GridConfig = GridConfig()) -> Level:
     gap_rng = _stream(seed, _S_GAPS)
     gaps = [seg[int(gap_rng.integers(len(seg)))] for seg in segments]
 
-    walls = set()
-    for x in range(w):
-        walls.add((x, 0))
-        walls.add((x, h - 1))
-    for y in range(h):
-        walls.add((0, y))
-        walls.add((w - 1, y))
-    for y in range(1, h - 1):
-        walls.add((vx, y))
-    for x in range(1, w - 1):
-        walls.add((x, hy))
-    walls.difference_update(gaps)
+    walls = frozenset(_grid_lines(w, h, (0, vx, w - 1), (0, hy, h - 1)).difference(gaps))
 
     free = [
         (x, y)
@@ -189,7 +184,7 @@ def generate_level(seed: int, config: GridConfig = GridConfig()) -> Level:
         seed=seed,
         width=w,
         height=h,
-        walls=frozenset(walls),
+        walls=walls,
         gaps=tuple(sorted(gaps)),
         start_pos=start,
         start_dir=start_dir,
@@ -325,28 +320,35 @@ def parse_ascii(text: str, *, seed: int = 0, max_steps: int = 100) -> EnvState:
 
     The agent glyph becomes the level's start pose.  Gap cells cannot be
     recovered from glyphs alone, so the parsed level has an empty `gaps`
-    tuple; four-rooms structure is not required of the input.
+    tuple; four-rooms structure is not required of the input, but a wall
+    border is, so that no step leaves the map.  ValueError names the
+    first problem found.
     """
     lines = [ln for ln in text.splitlines() if ln]
+    if not lines:
+        raise ValueError("empty ascii map")
     height = len(lines)
     width = len(lines[0])
     if any(len(ln) != width for ln in lines):
         raise ValueError("ragged ascii map")
 
-    walls, agent, direction, goal = set(), None, None, None
+    walls, agents, goals = set(), [], []
     for y, line in enumerate(lines):
         for x, ch in enumerate(line):
             if ch == "#":
                 walls.add((x, y))
             elif ch == "G":
-                goal = (x, y)
+                goals.append((x, y))
             elif ch in _GLYPH_TO_DIR:
-                agent = (x, y)
-                direction = _GLYPH_TO_DIR[ch]
+                agents.append(((x, y), _GLYPH_TO_DIR[ch]))
             elif ch != ".":
                 raise ValueError(f"unknown glyph {ch!r} at ({x},{y})")
-    if agent is None or goal is None:
-        raise ValueError("map must contain an agent glyph and a goal")
+    if len(agents) != 1 or len(goals) != 1:
+        raise ValueError(f"map needs one agent and one goal, found {len(agents)} and {len(goals)}")
+    holes = _grid_lines(width, height, (0, width - 1), (0, height - 1)) - walls
+    if holes:
+        raise ValueError(f"map border is open at {min(holes)}")
+    ((agent, direction),), (goal,) = agents, goals
 
     level = Level(
         seed=seed,

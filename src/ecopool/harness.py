@@ -7,8 +7,9 @@ this with different pool RNG seeds over the same level schedule;
 aggregation reports per-checkpoint means and standard errors.
 
 Everything a run writes is a pure function of (config, run seed) under
-the OpenBLAS kernel picked for the CPU: no timestamps or host values
-appear in metrics, audit logs, checkpoints, or charts.
+the two dispatchers that set last bits for the CPU: OpenBLAS's kernel,
+and numpy's SIMD dispatch level (`X86_V3`/`X86_V4`).  No timestamps or
+host values appear in metrics, audit logs, checkpoints, or charts.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ logger = logging.getLogger(__name__)
 
 METRICS = ("zeta", "pool_size", "cum_steps", "cum_tests", "failures")
 METRICS_COLUMNS = ("envs_seen",) + METRICS
+COMPARE_METRICS = ("zeta", "pool_size", "cum_steps")  # compare.csv's per-strategy means
 # What `export_metrics` writes for a counter and for zeta (a finite float).
 _CELL_SYNTAX = {int: r"[0-9]+", float: r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?"}
 
@@ -178,8 +180,10 @@ def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
     metrics.csv gains each checkpoint row and audit.jsonl each level's
     events as they appear, each flushed at once, so an aborted run leaves
     every completed checkpoint behind; the pool checkpoint is saved on
-    successful completion.  The run holds one `critic_helper` block,
-    opened before its output files, for all of its training.
+    successful completion.  A checkpoint's `cum_steps` and `failures`
+    are summed from the outcomes so far.  The run holds one
+    `critic_helper` block, opened before its output files, for all of its
+    training.
     """
     out = Path(run_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -196,8 +200,6 @@ def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
         audit: list[dict] = []
         outcomes: list[EnvOutcome] = []
         records: list[MetricsRecord] = []
-        cum_steps = 0
-        failures = 0
         for i, seed in enumerate(cfg.train_seeds()):
             level = generate_level(seed, cfg.grid)
             mark = len(audit)
@@ -210,8 +212,6 @@ def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
                 audit=audit,
             )
             outcomes.append(outcome)
-            cum_steps += outcome.training_steps_used
-            failures += int(outcome.failed)
             for event in audit[mark:]:
                 audit_fh.write(json.dumps(event) + "\n")
             audit_fh.flush()
@@ -220,9 +220,9 @@ def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
                     envs_seen=i + 1,
                     zeta=adaptability_index(pool, eval_levels),
                     pool_size=len(pool.agents),
-                    cum_steps=cum_steps,
+                    cum_steps=sum(o.training_steps_used for o in outcomes),
                     cum_tests=pool.tests_total,
-                    failures=failures,
+                    failures=sum(o.failed for o in outcomes),
                 )
                 records.append(record)
                 writer.writerow([getattr(record, c) for c in METRICS_COLUMNS])
@@ -412,21 +412,12 @@ def compare_suite(
         aggregates[strategy] = aggregate_runs(suite)
         export_aggregate(aggregates[strategy], out / strategy.value / "aggregate.csv")
 
-    columns = ["envs_seen"]
-    for strategy in strategies:
-        columns += [
-            f"{strategy.value}_zeta",
-            f"{strategy.value}_pool_size",
-            f"{strategy.value}_cum_steps",
-        ]
-    first = aggregates[strategies[0]]
-    rows = []
-    for idx, agg in enumerate(first):
-        row = [agg.envs_seen]
-        for strategy in strategies:
-            rec = aggregates[strategy][idx]
-            row += [rec.zeta_mean, rec.pool_size_mean, rec.cum_steps_mean]
-        rows.append(row)
+    pairs = [(s, m) for s in strategies for m in COMPARE_METRICS]
+    columns = ["envs_seen"] + [f"{s.value}_{m}" for s, m in pairs]
+    rows = [
+        [agg.envs_seen] + [getattr(aggregates[s][idx], f"{m}_mean") for s, m in pairs]
+        for idx, agg in enumerate(aggregates[strategies[0]])
+    ]
     _write_rows(out / "compare.csv", columns, rows, "csv")
     write_metric_charts(
         {s.value: aggregates[s] for s in strategies}, out / "charts"

@@ -492,27 +492,26 @@ def learn_epoch(
 
 
 def test_agent(params: PolicyParams, level: Level) -> float:
-    """Total reward of one greedy (argmax) episode; no learning, no rng.
+    """Reward of one greedy (argmax) episode; no learning, no rng.
 
-    The episode ends early, with reward 0, at the first (position,
-    direction) it acts from a second time.  This is exact: the
-    observation depends only on that pair, so the argmax action repeats
-    too and the agent cycles without reaching the goal until the step
-    budget runs out, which pays 0.  Every forward the full episode would
-    still make sees an observation already seen, so a non-finite output
-    cannot be skipped either.  Only the actor runs, as only its argmax
-    is read; `ppo_update` and `load_params` refuse a non-finite
-    critic.
+    Only the step that ends an episode pays.  The episode also ends
+    early, with reward 0, at the first (position, direction) it acts
+    from a second time.  This is exact: the observation depends only on
+    that pair, so the argmax action repeats too and the agent cycles
+    without reaching the goal until the step budget runs out, which pays
+    0.  Every forward the full episode would still make sees an
+    observation already seen, so a non-finite output cannot be skipped
+    either.  Only the actor runs, as only its argmax is read;
+    `ppo_update` and `load_params` refuse a non-finite critic.
     """
     state, obs = reset(level)
     seen = set()
-    total = 0.0
-    while not state.done:
+    while True:
         key = (state.agent_pos, state.agent_dir)
         if key in seen:
             return 0.0
         seen.add(key)
         probs = action_probs(params, obs)
-        state, obs, reward, _ = step(state, Action(int(np.argmax(probs))))
-        total += reward
-    return total
+        state, obs, reward, done = step(state, Action(int(np.argmax(probs))))
+        if done:
+            return reward

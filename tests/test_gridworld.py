@@ -434,6 +434,32 @@ class TestSerialization:
         rebuilt = parse_ascii(text, seed=data["seed"], max_steps=data["max_steps"]).level
         assert rebuilt == level and level_to_json(rebuilt) == data
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("", "empty ascii map"),
+            ("\n\n", "empty ascii map"),
+            ("#####\n#>.G#\n####\n", "ragged ascii map"),
+            ("#####\n#>xG#\n#####", r"unknown glyph 'x' at \(2,1\)"),
+            ("#####\n#..G#\n#####", "found 0 and 1"),
+            ("#####\n#>..#\n#####", "found 1 and 0"),
+            ("#####\n#><G#\n#####", "found 2 and 1"),
+            ("#####\n#>GG#\n#####", "found 1 and 2"),
+            # Unclosed, an agent walks off the map: TURN_LEFT, FORWARD,
+            # FORWARD from here left `observe` nothing to slice.
+            (".....\n.>..G\n.....", r"border is open at \(0, 0\)"),
+            ("#####\n#>.G.\n#####", r"border is open at \(4, 1\)"),
+            ("#####\n>..G#\n#####", r"border is open at \(0, 1\)"),
+        ],
+        ids=[
+            "empty", "blank-lines", "ragged", "unknown-glyph", "no-agent", "no-goal",
+            "two-agents", "two-goals", "no-border", "open-east", "agent-on-border",
+        ],
+    )
+    def test_parse_ascii_refuses(self, text, problem):
+        with pytest.raises(ValueError, match=problem):
+            parse_ascii(text)
+
     def test_json_roundtrip_other_dims(self):
         config = GridConfig(width=13, height=11, max_steps=64)
         for seed in range(20):
