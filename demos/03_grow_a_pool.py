@@ -18,7 +18,8 @@ audit = []
 
 for env_seed in range(5):
     level = generate_level(env_seed)
-    pool, outcome = ecosystem_learn(pool, level, cfg, budget=200, audit=audit)
+    pool, outcome = ecosystem_learn(pool, level, cfg, budget=200)
+    audit += outcome.events
     if outcome.created_new:
         how = f"new agent {outcome.solved_by} trained for {outcome.epochs_used} epochs"
     elif outcome.failed:
@@ -35,7 +36,8 @@ for agent in pool.agents:
     print(f"  agent {agent.id}: solved {sorted(agent.solved)} "
           f"(born on env {agent.birth_env})")
 
-# The audit log records every credit with the reward that earned it.
+# Each outcome's events record its credit with the reward that earned it,
+# then any absorb and remove events; together they are the audit log.
 print()
 print("audit trail:")
 for event in audit:

@@ -132,15 +132,16 @@ class EnvOutcome:
     failed: bool
     tests_run: int
     credit_reward: float | None
+    events: list[dict]  # audit: credit, solved or failed, then absorb and remove
 
 
 def find_best_agent(pool: Pool, level: Level) -> FindResult:
     """Scan the pool in order, one greedy test episode per agent.
 
-    The solver is the first agent whose reward meets the threshold; the
-    best is the first agent achieving the maximum reward seen.  All
-    strategies stop the scan at the solver except Best, which keeps
-    scanning so its copy source reflects the whole pool.
+    The solver is the first agent whose reward meets the threshold, and
+    the scan stops there; the best is the first agent achieving the
+    maximum reward seen.  `ecosystem_learn` reads the best only when no
+    agent solves, and then the whole pool was scanned.
     """
     solver = None
     solver_reward = None
@@ -152,10 +153,9 @@ def find_best_agent(pool: Pool, level: Level) -> FindResult:
         tests += 1
         if best_reward is None or reward > best_reward:
             best_id, best_reward = agent.id, reward
-        if reward >= pool.threshold and solver is None:
+        if reward >= pool.threshold:
             solver, solver_reward = agent.id, reward
-            if pool.strategy is not Strategy.BEST:
-                break
+            break
     return FindResult(
         solver=solver,
         solver_reward=solver_reward,
@@ -279,29 +279,23 @@ def ecosystem_learn(
     cfg: PpoConfig,
     budget: int = DEFAULT_BUDGET,
     optimize: bool = True,
-    audit: list | None = None,
 ) -> tuple[Pool, EnvOutcome]:
-    """Present one level to the eco-system.
+    """Present one level, which must be the pool's own of its seed, to the
+    eco-system (ValueError otherwise: solved-sets hold seeds).
 
     Credits an existing solver when the scan finds one; otherwise creates,
     trains, and inserts a new agent (with optimization pass), or records a
-    failure if the budget runs out.  Either way one audit event records
-    the level ("credit", "solved" or "failed"), ahead of any absorb and
-    remove events of the optimization pass.  Under the forked strategy
+    failure if the budget runs out.  The outcome's events record the
+    level ("credit", "solved" or "failed"), then any absorb and remove
+    events of the optimization pass.  Under the forked strategy
     the main agent absorbs each successful new agent's trained weights as
     a running mean: after the n-th such fork, main <- main + (trained -
     main) / n, one expression over the flat parameter vector, so the main
     agent is the mean of every trained fork (the first fork is copied
     exactly).  Failed forks are not absorbed.
     """
-    if (level.width, level.height, level.max_steps) != (
-        pool.grid.width,
-        pool.grid.height,
-        pool.grid.max_steps,
-    ):
-        raise ValueError("level geometry does not match the pool's grid config")
-    if audit is None:
-        audit = []
+    if level != generate_level(level.seed, pool.grid):
+        raise ValueError(f"level {level.seed} is not the pool's level of that seed")
 
     tests_before = pool.tests_total
     found = find_best_agent(pool, level)
@@ -321,7 +315,7 @@ def ecosystem_learn(
         agent = next(a for a in pool.agents if a.id == found.solver)
         reward, failed, epochs, steps = found.solver_reward, False, 0, 0
         event = "credit"
-    audit.append(dict(event=event, env=level.seed, agent=agent.id, reward=reward))
+    events = [dict(event=event, env=level.seed, agent=agent.id, reward=reward)]
 
     if not failed:
         if level.seed not in agent.solved:
@@ -329,7 +323,7 @@ def ecosystem_learn(
         if created_new:
             pool.agents.append(agent)
         if created_new and optimize:
-            optimize_pool(pool, agent, audit=audit)
+            optimize_pool(pool, agent, audit=events)
         else:
             sort_pool(pool)
         if created_new and pool.strategy is Strategy.FORKED:
@@ -347,6 +341,7 @@ def ecosystem_learn(
         failed=failed,
         tests_run=pool.tests_total - tests_before,
         credit_reward=None if failed else reward,
+        events=events,
     )
 
 
@@ -368,6 +363,11 @@ class AgentEntry:
     solved: list[int]
     birth_env: int
     widths: list[list[int]]
+
+    def __post_init__(self):
+        seeds = self.solved
+        if min(seeds, default=0) < 0 or len(set(seeds)) < len(seeds):
+            raise ValueError(f"agent {self.id} has a negative or repeated solved seed: {seeds}")
 
 
 @dataclass(frozen=True)

@@ -321,9 +321,11 @@ def parse_ascii(text: str, *, seed: int = 0, max_steps: int = 100) -> EnvState:
     The agent glyph becomes the level's start pose.  Gap cells cannot be
     recovered from glyphs alone, so the parsed level has an empty `gaps`
     tuple; four-rooms structure is not required of the input, but a wall
-    border is, so that no step leaves the map.  ValueError names the
-    first problem found.
+    border is, so that no step leaves the map, and `max_steps` obeys
+    `GridConfig`'s rule.  ValueError names the first problem found.
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     lines = [ln for ln in text.splitlines() if ln]
     if not lines:
         raise ValueError("empty ascii map")

@@ -150,7 +150,7 @@ AGGREGATE_COLUMNS = ("envs_seen",) + tuple(
 class RunResult:
     records: list[MetricsRecord]
     pool: Pool
-    audit: list[dict]
+    audit: list[dict]  # every outcome's events, in order, as audit.jsonl holds them
     outcomes: list[EnvOutcome]
 
 
@@ -178,9 +178,9 @@ def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
     to `run_dir` as it goes.
 
     metrics.csv gains each checkpoint row and audit.jsonl each level's
-    events as they appear, each flushed at once, so an aborted run leaves
-    every completed checkpoint behind; the pool checkpoint is saved on
-    successful completion.  A checkpoint's `cum_steps` and `failures`
+    outcome events as they appear, each flushed at once, so an aborted run
+    leaves every completed checkpoint behind; the pool checkpoint is saved
+    on successful completion.  A checkpoint's `cum_steps` and `failures`
     are summed from the outcomes so far.  The run holds one
     `critic_helper` block, opened before its output files, for all of its
     training.
@@ -197,22 +197,18 @@ def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
             cfg.strategy, threshold=cfg.threshold, grid=cfg.grid, seed=run_seed
         )
         eval_levels = [generate_level(s, cfg.grid) for s in cfg.eval_seeds()]
-        audit: list[dict] = []
         outcomes: list[EnvOutcome] = []
         records: list[MetricsRecord] = []
         for i, seed in enumerate(cfg.train_seeds()):
-            level = generate_level(seed, cfg.grid)
-            mark = len(audit)
             pool, outcome = ecosystem_learn(
                 pool,
-                level,
+                generate_level(seed, cfg.grid),
                 cfg.ppo,
                 budget=cfg.budget,
                 optimize=cfg.optimize_pool,
-                audit=audit,
             )
             outcomes.append(outcome)
-            for event in audit[mark:]:
+            for event in outcome.events:
                 audit_fh.write(json.dumps(event) + "\n")
             audit_fh.flush()
             if (i + 1) % cfg.eval_every == 0:
@@ -236,7 +232,7 @@ def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
                     record.cum_steps,
                 )
     save_pool(pool, out / "pool")
-    return RunResult(records=records, pool=pool, audit=audit, outcomes=outcomes)
+    return RunResult(records, pool, [e for o in outcomes for e in o.events], outcomes)
 
 
 def aggregate_runs(runs: list[list[MetricsRecord]]) -> list[AggregateRecord]:

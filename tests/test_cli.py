@@ -381,6 +381,14 @@ def _add_agent(manifest, **entry):
             lambda m: (_add_agent(m, id=7), m.update(next_id=0)),
             "next_id 0 is not above agent id 7",
         ),
+        (
+            lambda m: _add_agent(m, id=4, solved=[-5]),
+            "agent 4 has a negative or repeated solved seed: [-5]",
+        ),
+        (
+            lambda m: _add_agent(m, id=4, solved=[3, 3]),
+            "agent 4 has a negative or repeated solved seed: [3, 3]",
+        ),
     ],
 )
 def test_inspect_pool_refuses_bad_manifest(tmp_path, capsys, edit, named):

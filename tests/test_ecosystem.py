@@ -26,7 +26,7 @@ from ecopool.ecosystem import (
     sort_pool,
     train_until_solved,
 )
-from ecopool.gridworld import GridConfig, generate_level
+from ecopool.gridworld import GridConfig, generate_level, parse_ascii, render_ascii, reset
 from ecopool.policy import PolicyParams, init_params
 from ecopool.ppo import PpoConfig
 
@@ -96,16 +96,18 @@ class TestFindBestAgent:
         assert result.solver_reward == 0.85
         assert result.tests_run == 2  # third agent never tested
 
-    def test_best_strategy_scans_all(self, monkeypatch):
+    def test_best_strategy_stops_at_solver(self, monkeypatch):
+        # Best reads best_id only when no agent solves, so its scan stops
+        # at the solver like every other strategy's.
         level = generate_level(100)
         pool, table = _pool_with_agents(
-            Strategy.BEST, [{100: 0.85}, {100: 0.95}, {100: 0.2}]
+            Strategy.BEST, [{100: 0.5}, {100: 0.85}, {100: 0.95}]
         )
         monkeypatch.setattr(ecosystem, "test_agent", _scripted(table))
         result = find_best_agent(pool, level)
-        assert result.tests_run == 3
-        assert result.solver == 0  # first to meet the threshold
-        assert result.best_id == 1  # highest reward overall
+        assert result.tests_run == 2  # third agent never tested
+        assert result.solver == 1  # first to meet the threshold
+        assert result.best_id == 1  # highest reward of those scanned
 
     def test_first_max_tie_break(self, monkeypatch):
         level = generate_level(100)
@@ -375,8 +377,7 @@ class TestEcosystemLearn:
             Strategy.BASIC, [{50: 0.9}], solved=[[10]]
         )
         monkeypatch.setattr(ecosystem, "test_agent", _scripted(table))
-        audit = []
-        pool, outcome = ecosystem_learn(pool, level, FAST_CFG, audit=audit)
+        pool, outcome = ecosystem_learn(pool, level, FAST_CFG)
         assert outcome.solved_by == 0
         assert not outcome.created_new
         assert outcome.training_steps_used == 0
@@ -384,7 +385,7 @@ class TestEcosystemLearn:
         assert outcome.credit_reward == 0.9
         assert outcome.tests_run == 1
         assert 50 in pool.agents[0].solved
-        assert audit[0]["event"] == "credit"
+        assert [e["event"] for e in outcome.events] == ["credit"]
 
     def test_first_agent_on_empty_pool(self, monkeypatch):
         monkeypatch.setattr(ecosystem, "test_agent", lambda p, l: 0.9)
@@ -463,16 +464,13 @@ class TestEcosystemLearn:
             ecosystem, "learn_epoch", lambda p, l, c, r, opt=None: (p, c.rollout_steps)
         )
         pool = make_pool(Strategy.BASIC)
-        audit = []
-        pool, outcome = ecosystem_learn(
-            pool, generate_level(7), FAST_CFG, budget=2, audit=audit
-        )
+        pool, outcome = ecosystem_learn(pool, generate_level(7), FAST_CFG, budget=2)
         assert outcome.failed
         assert outcome.created_new
         assert outcome.solved_by is None
         assert outcome.epochs_used == 2
         assert len(pool.agents) == 0
-        assert audit[-1]["event"] == "failed"
+        assert [e["event"] for e in outcome.events] == ["failed"]
 
     def test_without_optimization_pass(self, monkeypatch):
         # The new agent would pass every seed the pool agents hold, so an
@@ -482,13 +480,10 @@ class TestEcosystemLearn:
             Strategy.BASIC, [{60: 0.1}, {60: 0.1}], solved=[[10], [11, 12]]
         )
         monkeypatch.setattr(ecosystem, "test_agent", _scripted(table, default=0.9))
-        audit = []
-        pool, outcome = ecosystem_learn(
-            pool, level, FAST_CFG, optimize=False, audit=audit
-        )
+        pool, outcome = ecosystem_learn(pool, level, FAST_CFG, optimize=False)
         new_agent = next(a for a in pool.agents if a.id == 2)
         assert new_agent.solved == [60]
-        assert [e["event"] for e in audit] == ["solved"]
+        assert [e["event"] for e in outcome.events] == ["solved"]
         assert [a.id for a in pool.agents] == [1, 0, 2]  # all kept, re-sorted
         _assert_sorted(pool)
         assert outcome.tests_run == 3  # two scan tests, one entry test
@@ -499,6 +494,39 @@ class TestEcosystemLearn:
         level = generate_level(0, GridConfig(width=11, height=11))
         with pytest.raises(ValueError):
             ecosystem_learn(pool, level, FAST_CFG)
+
+    @pytest.mark.parametrize(
+        "level",
+        [
+            generate_level(7, GridConfig(max_steps=50)),
+            # The pool would credit seed 7 and later regenerate another map.
+            parse_ascii("#####\n#>.G#\n#####", seed=7).level,
+            # Even seed 7's own map: a parsed level has no gaps.
+            parse_ascii(render_ascii(reset(generate_level(7))[0]), seed=7).level,
+        ],
+        ids=["other-max-steps", "hand-made", "reparsed"],
+    )
+    def test_level_not_the_pools_own_rejected(self, level):
+        pool = make_pool(Strategy.BASIC)
+        with pytest.raises(ValueError, match="level 7 is not the pool's level of that seed"):
+            ecosystem_learn(pool, level, FAST_CFG)
+        assert pool.agents == [] and pool.tests_total == 0
+
+    def test_events_credit_then_optimization(self, monkeypatch):
+        level = generate_level(60)
+        pool, table = _pool_with_agents(
+            Strategy.BASIC, [{60: 0.1}, {60: 0.1}], solved=[[10], [11, 12]]
+        )
+        monkeypatch.setattr(ecosystem, "test_agent", _scripted(table, default=0.9))
+        pool, outcome = ecosystem_learn(pool, level, FAST_CFG)
+        assert [(e["event"], e.get("env"), e["agent"]) for e in outcome.events] == [
+            ("solved", 60, 2),
+            ("absorb", 10, 2),
+            ("remove", None, 0),
+            ("absorb", 11, 2),
+            ("absorb", 12, 2),
+            ("remove", None, 1),
+        ]
 
     def test_tests_run_accounts_scan_and_training(self, monkeypatch):
         # One pool agent scoring under threshold, then a new agent whose
@@ -513,13 +541,10 @@ class TestEcosystemLearn:
 class TestIntegration:
     def test_small_basic_run(self):
         pool = make_pool(Strategy.BASIC, seed=1)
-        audit = []
         outcomes = []
         for level_seed in range(200, 204):
             level = generate_level(level_seed)
-            pool, outcome = ecosystem_learn(
-                pool, level, FAST_CFG, budget=150, audit=audit
-            )
+            pool, outcome = ecosystem_learn(pool, level, FAST_CFG, budget=150)
             outcomes.append(outcome)
             _assert_sorted(pool)
             _assert_no_dominance(pool)
@@ -529,7 +554,7 @@ class TestIntegration:
         for seed in range(200, 204):
             if seed not in failed:
                 assert seed in credited
-        for event in audit:
+        for event in (e for o in outcomes for e in o.events):
             if event["event"] in ("solved", "credit", "absorb"):
                 assert event["reward"] >= pool.threshold
         assert outcomes[0].created_new

@@ -218,6 +218,11 @@ class TestDynamics:
         with pytest.raises(ValueError):
             step(state, Action.FORWARD)
 
+    def test_step_unknown_action_raises(self):
+        state, _ = reset(generate_level(11))
+        with pytest.raises(ValueError, match="unknown action 3"):
+            step(state, 3)
+
     def test_random_rollouts_respect_contract(self):
         rng = np.random.default_rng(0)
         for seed in range(20):
@@ -459,6 +464,13 @@ class TestSerialization:
     def test_parse_ascii_refuses(self, text, problem):
         with pytest.raises(ValueError, match=problem):
             parse_ascii(text)
+
+    # At 0 reaching the goal divided by zero; below 0 it paid over 1 and
+    # an episode never ran out of steps.
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_parse_ascii_refuses_max_steps_below_one(self, max_steps):
+        with pytest.raises(ValueError, match=f"max_steps must be >= 1, got {max_steps}"):
+            parse_ascii("#####\n#>.G#\n#####", max_steps=max_steps)
 
     def test_json_roundtrip_other_dims(self):
         config = GridConfig(width=13, height=11, max_steps=64)

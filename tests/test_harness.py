@@ -72,7 +72,7 @@ def _scripted_tests(rewards):
 def _fake_learn(steps_per_env=7, tests_per_env=3, fail_envs=()):
     """Stand-in for ecosystem_learn: one new crediting agent per env."""
 
-    def fake(pool, level, cfg, budget=300, optimize=True, audit=None):
+    def fake(pool, level, cfg, budget=300, optimize=True):
         failed = level.seed in fail_envs
         pool.tests_total += tests_per_env
         if failed:
@@ -85,9 +85,8 @@ def _fake_learn(steps_per_env=7, tests_per_env=3, fail_envs=()):
                 failed=True,
                 tests_run=tests_per_env,
                 credit_reward=None,
+                events=[{"event": "failed", "env": level.seed, "agent": pool.next_id}],
             )
-            if audit is not None:
-                audit.append({"event": "failed", "env": level.seed, "agent": pool.next_id})
             pool.next_id += 1
             return pool, outcome
         agent = Agent(
@@ -98,10 +97,6 @@ def _fake_learn(steps_per_env=7, tests_per_env=3, fail_envs=()):
         )
         pool.next_id += 1
         pool.agents.append(agent)
-        if audit is not None:
-            audit.append(
-                {"event": "solved", "env": level.seed, "agent": agent.id, "reward": 0.9}
-            )
         outcome = EnvOutcome(
             level_seed=level.seed,
             solved_by=agent.id,
@@ -111,6 +106,7 @@ def _fake_learn(steps_per_env=7, tests_per_env=3, fail_envs=()):
             failed=False,
             tests_run=tests_per_env,
             credit_reward=0.9,
+            events=[{"event": "solved", "env": level.seed, "agent": agent.id, "reward": 0.9}],
         )
         return pool, outcome
 
@@ -222,6 +218,12 @@ def test_config_eval_every_must_divide():
 def test_config_positive_counts(key):
     with pytest.raises(ValueError, match=key):
         ExperimentConfig(strategy=Strategy.BASIC, **{key: 0})
+
+
+@pytest.mark.parametrize("key", ["train_seed_base", "eval_seed_base"])
+def test_config_negative_seed_base_rejected(key):
+    with pytest.raises(ValueError, match="seed bases must be non-negative"):
+        ExperimentConfig(strategy=Strategy.BASIC, **{key: -1})
 
 
 def test_config_json_round_trip():
@@ -401,11 +403,11 @@ def test_aborted_run_keeps_partial_results(tmp_path, monkeypatch):
     inner = _fake_learn()
     calls = []
 
-    def exploding(pool, level, cfg, budget=300, optimize=True, audit=None):
+    def exploding(pool, level, cfg, budget=300, optimize=True):
         if len(calls) == 3:
             raise RuntimeError("boom")
         calls.append(level.seed)
-        return inner(pool, level, cfg, budget=budget, optimize=optimize, audit=audit)
+        return inner(pool, level, cfg, budget=budget, optimize=optimize)
 
     monkeypatch.setattr(harness, "ecosystem_learn", exploding)
     monkeypatch.setattr(harness, "test_agent", lambda params, level: 0.5)

@@ -288,6 +288,12 @@ class TestPpoUpdate:
             PpoConfig(lr=-1.0)
         with pytest.raises(ValueError, match="minibatch_size.*rollout_steps"):
             PpoConfig(rollout_steps=256, minibatch_size=512)
+        for epsilon in (0.0, -0.2):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                PpoConfig(epsilon=epsilon)
+        for coef in ("value_coef", "entropy_coef"):
+            with pytest.raises(ValueError, match="loss coefficients must be non-negative"):
+                PpoConfig(**{coef: -0.01})
 
 
 KILLED_CALLER_SCRIPT = """
