@@ -33,14 +33,13 @@ UNSEEN = 0
 EMPTY = 1
 WALL = 2
 GOAL = 3
+_CODE_GLYPHS = {EMPTY: ".", WALL: "#", GOAL: "G"}  # render_ascii draws a level's codes
 
 VIEW_SIZE = 7
 OBS_SHAPE = (VIEW_SIZE, VIEW_SIZE, 3)
 
 # RNG stream labels, one per generated level field.
 _S_VWALL, _S_HWALL, _S_GAPS, _S_START, _S_DIR, _S_GOAL = range(6)
-
-_PLACEMENT_RETRIES = 1000
 
 
 class Direction(IntEnum):
@@ -134,16 +133,15 @@ def generate_level(seed: int, config: GridConfig = GridConfig()) -> Level:
     Draw order (one independent RNG stream each): vertical wall x,
     horizontal wall y, the four gaps (top, bottom, left, right segment),
     start cell, start direction, goal cell.  The walls are the border
-    and the two wall lines, less the four gaps.  Goal placement rejects
-    collisions with the start cell for a bounded number of retries.
+    and the two wall lines, less the four gaps.  The goal is redrawn
+    from its stream until it differs from the start cell.
 
     `config` was checked when it was built.  Raises ValueError for a
-    negative seed and RuntimeError if a distinct goal cell cannot be
-    placed.
+    negative seed.
     """
     w, h = config.width, config.height
     if seed < 0:
-        raise ValueError(f"seed must be a non-negative 64-bit integer, got {seed}")
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
     # Internal wall lines, kept off the boundary so all four rooms are
     # non-empty.
@@ -173,12 +171,9 @@ def generate_level(seed: int, config: GridConfig = GridConfig()) -> Level:
     start_dir = Direction(int(_stream(seed, _S_DIR).integers(4)))
 
     goal_rng = _stream(seed, _S_GOAL)
-    for _ in range(_PLACEMENT_RETRIES):
+    goal = start
+    while goal == start:
         goal = free[int(goal_rng.integers(len(free)))]
-        if goal != start:
-            break
-    else:
-        raise RuntimeError(f"could not place a goal distinct from start (seed={seed})")
 
     return Level(
         seed=seed,
@@ -298,21 +293,11 @@ def _view(level: Level, pos: tuple[int, int], direction: Direction) -> np.ndarra
 
 def render_ascii(state: EnvState) -> str:
     """Map as text: '#' wall, '.' empty, 'G' goal, '^>v<' agent by direction."""
-    level = state.level
-    rows = []
-    for y in range(level.height):
-        row = []
-        for x in range(level.width):
-            if (x, y) == state.agent_pos:
-                row.append(AGENT_GLYPHS[state.agent_dir])
-            elif (x, y) in level.walls:
-                row.append("#")
-            elif (x, y) == level.goal_pos:
-                row.append("G")
-            else:
-                row.append(".")
-        rows.append("".join(row))
-    return "\n".join(rows)
+    codes = _padded_codes(state.level)[_PAD:-_PAD, _PAD:-_PAD].tolist()
+    rows = [[_CODE_GLYPHS[code] for code in row] for row in codes]
+    x, y = state.agent_pos
+    rows[y][x] = AGENT_GLYPHS[state.agent_dir]
+    return "\n".join(map("".join, rows))
 
 
 def parse_ascii(text: str, *, seed: int = 0, max_steps: int = 100) -> EnvState:

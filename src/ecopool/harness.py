@@ -23,7 +23,7 @@ import re
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,9 +148,11 @@ AGGREGATE_COLUMNS = ("envs_seen",) + tuple(
 
 @dataclass
 class RunResult:
+    """A run's checkpoint records, final pool and per-level outcomes;
+    its audit.jsonl holds the outcomes' events in order."""
+
     records: list[MetricsRecord]
     pool: Pool
-    audit: list[dict]  # every outcome's events, in order, as audit.jsonl holds them
     outcomes: list[EnvOutcome]
 
 
@@ -232,7 +234,7 @@ def run_to_dir(cfg: ExperimentConfig, run_seed: int, run_dir) -> RunResult:
                     record.cum_steps,
                 )
     save_pool(pool, out / "pool")
-    return RunResult(records, pool, [e for o in outcomes for e in o.events], outcomes)
+    return RunResult(records, pool, outcomes)
 
 
 def aggregate_runs(runs: list[list[MetricsRecord]]) -> list[AggregateRecord]:
@@ -436,22 +438,19 @@ def write_metric_charts(by_strategy: dict[str, list[AggregateRecord]], out_dir) 
 
 
 def _metric_chart_svg(metric: str, by_strategy: dict[str, list[AggregateRecord]]) -> str:
-    xs = sorted({r.envs_seen for recs in by_strategy.values() for r in recs})
-    lo = min(
-        getattr(r, f"{metric}_mean") - getattr(r, f"{metric}_stderr")
-        for recs in by_strategy.values()
-        for r in recs
-    )
-    hi = max(
-        getattr(r, f"{metric}_mean") + getattr(r, f"{metric}_stderr")
-        for recs in by_strategy.values()
-        for r in recs
-    )
+    mean_key, err_key = f"{metric}_mean", f"{metric}_stderr"
+    series = {  # (envs_seen, mean, stderr) per checkpoint, per strategy
+        name: [(r.envs_seen, getattr(r, mean_key), getattr(r, err_key)) for r in recs]
+        for name, recs in by_strategy.items()
+    }
+    points = [p for pts in series.values() for p in pts]
+    lo = min(mean - err for _, mean, err in points)
+    hi = max(mean + err for _, mean, err in points)
     if hi == lo:
         hi, lo = hi + 1.0, lo - 1.0
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    x0, x1 = min(xs), max(xs)
+    x0, x1 = min(x for x, _, _ in points), max(x for x, _, _ in points)
     if x0 == x1:
         x0, x1 = x0 - 1, x1 + 1
 
@@ -494,23 +493,18 @@ def _metric_chart_svg(metric: str, by_strategy: dict[str, list[AggregateRecord]]
         f'text-anchor="middle" font-family="sans-serif" '
         f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{metric}</text>'
     )
-    for i, (name, recs) in enumerate(by_strategy.items()):
+    for i, (name, pts) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(
-            f"{sx(r.envs_seen):.1f},{sy(getattr(r, f'{metric}_mean')):.1f}"
-            for r in recs
-        )
+        vertices = " ".join(f"{sx(x):.1f},{sy(mean):.1f}" for x, mean, _ in pts)
         parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
+            f'<polyline points="{vertices}" fill="none" stroke="{color}" '
             f'stroke-width="1.8"/>'
         )
-        for r in recs:
-            mean = getattr(r, f"{metric}_mean")
-            err = getattr(r, f"{metric}_stderr")
+        for x, mean, err in pts:
             if err > 0:
                 parts.append(
-                    f'<line x1="{sx(r.envs_seen):.1f}" y1="{sy(mean - err):.1f}" '
-                    f'x2="{sx(r.envs_seen):.1f}" y2="{sy(mean + err):.1f}" '
+                    f'<line x1="{sx(x):.1f}" y1="{sy(mean - err):.1f}" '
+                    f'x2="{sx(x):.1f}" y2="{sy(mean + err):.1f}" '
                     f'stroke="{color}" stroke-width="1"/>'
                 )
         parts.append(

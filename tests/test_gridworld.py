@@ -116,6 +116,12 @@ class TestGenerateLevel:
         with pytest.raises(ValueError):
             generate_level(-1)
 
+    def test_seed_is_any_non_negative_integer(self):
+        for seed in (2**64, 2**200):
+            assert generate_level(seed) == generate_level(seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            generate_level(-1)
+
 
 class TestDynamics:
     def test_reset(self):
@@ -412,13 +418,25 @@ class TestSerialization:
             assert render_ascii(parsed) == text
 
     def test_ascii_legend(self):
-        level = generate_level(9)
-        state, _ = reset(level)
-        text = render_ascii(state)
-        assert text.count("#") == len(level.walls)
-        assert text.count("G") == 1
-        glyphs = [ch for ch in text if ch in "^>v<"]
-        assert glyphs == [gridworld.AGENT_GLYPHS[level.start_dir]]
+        walked, _ = reset(generate_level(5, GridConfig(width=9, height=21)))
+        left, right, forward = Action.TURN_LEFT, Action.TURN_RIGHT, Action.FORWARD
+        for action in (forward, left, forward, forward, right, forward):
+            walked, *_ = step(walked, action)
+        assert walked.agent_pos != walked.level.start_pos and not walked.done
+        for state in (reset(generate_level(9))[0], walked):
+            text = render_ascii(state)
+            lines = text.splitlines()
+            assert len(lines) == state.level.height
+            assert all(len(line) == state.level.width for line in lines)
+            assert text.count("#") == len(state.level.walls)
+            assert text.count("G") == 1
+            glyphs = [ch for ch in text if ch in "^>v<"]
+            assert glyphs == [gridworld.AGENT_GLYPHS[state.agent_dir]]
+            x, y = state.agent_pos
+            assert lines[y][x] == glyphs[0]
+        # The agent's glyph replaces the goal's when it stands there.
+        on_goal, *_ = step(parse_ascii("#####\n#>G.#\n#####"), Action.FORWARD)
+        assert render_ascii(on_goal) == "#####\n#.>.#\n#####"
 
     def test_json_roundtrip(self):
         for seed in range(50):

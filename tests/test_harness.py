@@ -382,7 +382,7 @@ def test_run_dir_contents(tiny_run):
         json.loads(line)
         for line in (run_dir / "audit.jsonl").read_text().splitlines()
     ]
-    assert events == result.audit
+    assert events == [e for o in result.outcomes for e in o.events]
     loaded = ecosystem.load_pool(run_dir / "pool")
     assert len(loaded.agents) == len(result.pool.agents)
 
@@ -391,7 +391,7 @@ def test_audit_respects_held_out_range(tiny_run):
     cfg, result, _ = tiny_run
     train = set(cfg.train_seeds())
     evals = set(cfg.eval_seeds())
-    audited = {e["env"] for e in result.audit if "env" in e}
+    audited = {e["env"] for o in result.outcomes for e in o.events if "env" in e}
     assert audited
     assert audited <= train
     assert not (audited & evals)
@@ -744,8 +744,28 @@ def test_chart_writer_one_file_per_metric(tmp_path):
     aggs = aggregate_runs(
         [[_rec(10, 0.2, 1, 100, 5, 0), _rec(20, 0.6, 2, 250, 9, 1)]] * 2
     )
-    write_metric_charts({"basic": aggs, "forked": aggs}, tmp_path)
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == sorted(f"{m}.svg" for m in METRICS)
-    text = (tmp_path / "zeta.svg").read_text()
-    assert "polyline" in text and "basic" in text and "forked" in text
+    # Two runs that agree at 10 and 30 and differ at 20 and 40 in zeta,
+    # pool_size and cum_steps: a whisker where the stderr is above 0 only.
+    differ = aggregate_runs([
+        [_rec(10, 0.2, 1, 100), _rec(20, 0.6, 2, 250), _rec(30, 0.7), _rec(40, 0.8, 3, 400)],
+        [_rec(10, 0.2, 1, 100), _rec(20, 0.4, 3, 260), _rec(30, 0.7), _rec(40, 0.9, 2, 420)],
+    ])
+    whiskers = 0
+    for case, by_strategy in enumerate(
+        ({"basic": aggs, "forked": aggs}, {"basic": aggs, "forked": differ})
+    ):
+        out = tmp_path / str(case)
+        write_metric_charts(by_strategy, out)
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(f"{m}.svg" for m in METRICS)
+        for metric in METRICS:
+            text = (out / f"{metric}.svg").read_text()
+            assert "basic" in text and "forked" in text
+            lines = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="([^"]*)"', text)
+            assert len(lines) == len(by_strategy)
+            for (vertices, color), recs in zip(lines, by_strategy.values()):
+                assert len(vertices.split()) == len(recs)
+                drawn = text.count(f'stroke="{color}" stroke-width="1"/>')
+                assert drawn == sum(getattr(r, f"{metric}_stderr") > 0 for r in recs)
+                whiskers += drawn
+    assert whiskers == 3 * 2  # zeta, pool_size and cum_steps at 20 and 40
