@@ -244,16 +244,16 @@ def sort_pool(pool: Pool) -> Pool:
     return pool
 
 
-def optimize_pool(pool: Pool, new_agent: Agent, audit: list | None = None) -> Pool:
+def optimize_pool(pool: Pool, new_agent: Agent, audit: list) -> Pool:
     """Let the freshly inserted agent absorb and displace others.
 
     Every level seed credited to another agent is re-tested against the
     new agent; passing seeds transfer (as additional credits).  Agents
     whose entire solved-set the new agent now covers are removed.  The
-    pool is re-sorted afterwards.
+    pool is re-sorted afterwards.  Each absorb and removal is appended to
+    `audit` as an event, which `ecosystem_learn` writes to the level's
+    outcome.
     """
-    if audit is None:
-        audit = []
     for other in list(pool.agents):
         if other.id == new_agent.id:
             continue

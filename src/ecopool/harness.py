@@ -23,7 +23,7 @@ import re
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,23 +126,15 @@ class MetricsRecord:
     failures: int
 
 
-@dataclass(frozen=True)
-class AggregateRecord:
-    envs_seen: int
-    zeta_mean: float
-    zeta_stderr: float
-    pool_size_mean: float
-    pool_size_stderr: float
-    cum_steps_mean: float
-    cum_steps_stderr: float
-    cum_tests_mean: float
-    cum_tests_stderr: float
-    failures_mean: float
-    failures_stderr: float
-
-
 AGGREGATE_COLUMNS = ("envs_seen",) + tuple(
     f"{metric}_{stat}" for metric in METRICS for stat in ("mean", "stderr")
+)
+# One checkpoint over a suite's runs: each metric's mean and standard error.
+AggregateRecord = make_dataclass(
+    "AggregateRecord",
+    [("envs_seen", int), *((column, float) for column in AGGREGATE_COLUMNS[1:])],
+    frozen=True,
+    namespace={"__module__": __name__},
 )
 
 

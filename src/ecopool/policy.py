@@ -12,7 +12,8 @@ and its gradient and the critic's half are separate functions, which
 
 All weights of an agent live in one float64 vector, `PolicyParams.flat`;
 its `actor` and `critic` layers are (W, b) views into that vector, so a
-copy, an equality test or a running mean is one vector operation.
+copy, an equality test or a running mean is one vector operation.  Weights
+are built one way: `PolicyParams(flat, widths)` wraps such a vector.
 Gradients use the same layout; Adam updates its two moment vectors in it
 in place, into work buffers its caller allocates once, and the net's
 passes apply bias, tanh and slope in place.  Parameters are never
@@ -58,8 +59,9 @@ def _head_views(
 class PolicyParams:
     """Actor and critic weights packed into one vector.
 
-    `flat` holds every layer in order (actor then critic, W row-major then
-    b); `widths` names the layout as the layer widths of each head, e.g.
+    `PolicyParams(flat, widths)` wraps `flat` (not copied), which holds
+    every layer in order (actor then critic, W row-major then b); `widths`
+    names the layout as the layer widths of each head, e.g.
     ((147, 64, 64, 3), (147, 64, 64, 1)).  `actor` and `critic` are tuples
     of (W, b) views into `flat`, built once per instance.  Equality is
     exact value comparison.
@@ -67,28 +69,7 @@ class PolicyParams:
 
     __slots__ = ("flat", "widths", "actor", "critic")
 
-    def __init__(self, actor: tuple[Layer, ...], critic: tuple[Layer, ...]):
-        """Pack the given layers (copied) into a new vector."""
-        widths = tuple(
-            (head[0][0].shape[0], *(w.shape[1] for w, _ in head))
-            for head in (actor, critic)
-        )
-        flat = np.concatenate(
-            [np.ravel(a) for layer in (*actor, *critic) for a in layer],
-            dtype=np.float64,
-        )
-        self._bind(flat, widths)
-
-    @classmethod
-    def from_flat(
-        cls, flat: np.ndarray, widths: tuple[tuple[int, ...], tuple[int, ...]]
-    ) -> PolicyParams:
-        """Wrap `flat` (not copied) in the layout `widths`."""
-        params = cls.__new__(cls)
-        params._bind(flat, widths)
-        return params
-
-    def _bind(self, flat: np.ndarray, widths) -> None:
+    def __init__(self, flat: np.ndarray, widths: tuple[tuple[int, ...], tuple[int, ...]]):
         self.flat = flat
         self.widths = widths
         self.actor, offset = _head_views(flat, widths[0], 0)
@@ -97,7 +78,7 @@ class PolicyParams:
     def __reduce__(self):
         # Copies and pickles carry the vector once and rebuild the views on
         # it; copying the views as arrays would detach them from `flat`.
-        return (PolicyParams.from_flat, (self.flat, self.widths))
+        return (PolicyParams, (self.flat, self.widths))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolicyParams):
@@ -146,7 +127,7 @@ def init_params(
         for fan_in, fan_out in zip(head, head[1:]):
             limit = math.sqrt(6.0 / (fan_in + fan_out))
             parts += [rng.uniform(-limit, limit, size=fan_in * fan_out), np.zeros(fan_out)]
-    return PolicyParams.from_flat(np.concatenate(parts), widths)
+    return PolicyParams(np.concatenate(parts), widths)
 
 
 def flatten_obs(obs: np.ndarray) -> np.ndarray:
@@ -296,7 +277,7 @@ def grad_loss(
     gradients read only the actor's weights and the critic's only the
     critic's, so each half is its own function.
     """
-    grads = PolicyParams.from_flat(np.empty_like(params.flat), params.widths)
+    grads = PolicyParams(np.empty_like(params.flat), params.widths)
     actor_terms = _actor_grad(
         params.actor,
         batch.obs,
@@ -315,7 +296,7 @@ def grad_loss(
 
 def clone_params(src: PolicyParams) -> PolicyParams:
     """Deep, independent copy; mutating either side never affects the other."""
-    return PolicyParams.from_flat(src.flat.copy(), src.widths)
+    return PolicyParams(src.flat.copy(), src.widths)
 
 
 def running_mean_params(
@@ -329,9 +310,7 @@ def running_mean_params(
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return clone_params(sample)
-    return PolicyParams.from_flat(
-        mean.flat + (sample.flat - mean.flat) / n, mean.widths
-    )
+    return PolicyParams(mean.flat + (sample.flat - mean.flat) / n, mean.widths)
 
 
 # Adam's moment decay rates and denominator floor, the common defaults.
@@ -361,7 +340,7 @@ class Adam:
         self.t += 1
         out, tmp = np.empty((2, grads.flat.size))
         update = _adam_update(self._m, self._v, grads.flat, self.t, self.lr, out, tmp)
-        return PolicyParams.from_flat(params.flat - update, params.widths)
+        return PolicyParams(params.flat - update, params.widths)
 
 
 def _adam_update(m, v, g, t: int, lr: float, out, tmp) -> np.ndarray:
@@ -410,4 +389,4 @@ def load_params(path, widths) -> PolicyParams:
         raise ValueError(f"holds {flat.size} weights, the layout {heads} needs {size}")
     if not np.isfinite(flat).all():
         raise ValueError("holds a NaN or infinite weight")
-    return PolicyParams.from_flat(flat, heads)
+    return PolicyParams(flat, heads)

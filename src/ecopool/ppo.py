@@ -388,13 +388,13 @@ def ppo_update(
     traj: Trajectory,
     cfg: PpoConfig,
     rng: np.random.Generator,
-    opt: Adam | None = None,
+    opt: Adam,
 ) -> PolicyParams:
     """Clipped-surrogate minibatch updates over one collected trajectory.
 
     For `update_epochs` passes: shuffle, split into minibatches, and apply
-    one optimizer step per minibatch.  `opt` carries moment state across
-    calls for the same agent; omitted, a fresh optimizer is used.
+    one optimizer step per minibatch.  `opt` is the agent's own optimizer:
+    its moments and step count carry across the agent's updates.
 
     The actor and the critic are separate networks, the loss is a sum of
     an actor and a critic term, and Adam is elementwise: so each head
@@ -414,16 +414,13 @@ def ppo_update(
         raise ValueError(
             f"trajectory length {n} is below minibatch_size {cfg.minibatch_size}"
         )
-    if opt is None:
-        opt = Adam(params, lr=cfg.lr)
-
     advantages, returns = compute_gae(traj, cfg.gamma, cfg.lam)
     spec = cfg.loss_spec()
     orders = [rng.permutation(n) for _ in range(cfg.update_epochs)]
     split = sum(w.size + b.size for w, b in params.actor)
-    moved = PolicyParams.from_flat((opt._m != 0) | (opt._v != 0), params.widths)
+    moved = PolicyParams((opt._m != 0) | (opt._v != 0), params.widths)
     live = traj.obs.any(axis=0) | moved.actor[0][0].any(axis=1) | moved.critic[0][0].any(axis=1)
-    keep = PolicyParams.from_flat(np.ones(params.flat.size, dtype=bool), params.widths)
+    keep = PolicyParams(np.ones(params.flat.size, dtype=bool), params.widths)
     keep.actor[0][0][~live] = keep.critic[0][0][~live] = False
     keep, obs = keep.flat, traj.obs[:, live]
 
@@ -475,7 +472,7 @@ def ppo_update(
     opt._m[keep] = np.concatenate([actor.m, critic.m])
     opt._v[keep] = np.concatenate([actor.v, critic.v])
     opt.t += len(actor_terms)
-    return PolicyParams.from_flat(flat, params.widths)
+    return PolicyParams(flat, params.widths)
 
 
 def learn_epoch(
@@ -483,9 +480,10 @@ def learn_epoch(
     level: Level,
     cfg: PpoConfig,
     rng: np.random.Generator,
-    opt: Adam | None = None,
+    opt: Adam,
 ) -> tuple[PolicyParams, int]:
-    """One rollout plus one update; steps_consumed is always rollout_steps."""
+    """One rollout plus one update with the agent's optimizer `opt`;
+    steps_consumed is always rollout_steps."""
     traj = collect_rollout(params, level, cfg.rollout_steps, rng)
     new_params = ppo_update(params, traj, cfg, rng, opt=opt)
     return new_params, cfg.rollout_steps

@@ -20,6 +20,23 @@ from ecopool.policy import (
 from ecopool.ppo import PpoConfig, Trajectory, compute_gae
 
 
+def params_from_layers(actor, critic) -> PolicyParams:
+    """A `PolicyParams` holding copies of the given (W, b) layers, packed
+    here in the package's documented layout: actor then critic, each
+    layer's W row-major then its b."""
+    layers = (*actor, *critic)
+    flat = np.empty(sum(w.size + b.size for w, b in layers))
+    offset = 0
+    for w, b in layers:
+        for array in (w, b):
+            flat[offset : offset + array.size] = np.ravel(array)
+            offset += array.size
+    widths = tuple(
+        (head[0][0].shape[0], *(w.shape[1] for w, _ in head)) for head in (actor, critic)
+    )
+    return PolicyParams(flat, widths)
+
+
 def perturbed(
     params: PolicyParams, head: str, layer: int, which: int, idx, delta: float
 ) -> PolicyParams:
@@ -37,9 +54,8 @@ def perturbed(
             out.append((w, b))
         return tuple(out)
 
-    return PolicyParams(
-        actor=copy_head(params.actor, "actor"),
-        critic=copy_head(params.critic, "critic"),
+    return params_from_layers(
+        copy_head(params.actor, "actor"), copy_head(params.critic, "critic")
     )
 
 
@@ -244,7 +260,7 @@ def layerwise_adam(
                 new_b = b - lr * (mb / bc1) / (np.sqrt(vb / bc2) + eps)
                 new_layers.append((new_w, new_b))
             heads[name] = tuple(new_layers)
-        params = PolicyParams(actor=heads["actor"], critic=heads["critic"])
+        params = params_from_layers(heads["actor"], heads["critic"])
         history.append(params)
     return history
 

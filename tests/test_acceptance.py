@@ -2,9 +2,11 @@
 
 Fast property criteria (1-5, 7) run always; the desk-scale experiment
 criteria (6, 8, 9, 10) share one module-scoped compare of basic vs
-forked over 50 levels x 3 runs and are marked slow.
+forked over 50 levels x 3 runs and are marked slow, as is the check of
+that compare's output hashes.
 """
 
+import hashlib
 import json
 import math
 import statistics
@@ -346,6 +348,35 @@ def test_criterion_6_pool_dominance_invariant(desk_compare):
         6,
         f"zero violations across {desk_compare.optimize_calls} optimize_pool calls",
     )
+
+
+@pytest.mark.slow
+def test_desk_compare_output_hashes(desk_compare):
+    # The desk-scale bytes every bit-exact change must keep, as
+    # test_cli's tiny hashes are for the tiny config.  A change that moves
+    # the numbers on purpose updates these hashes and says so in CHANGES.md.
+    digests = {
+        f"{s.value}/run_{i:02d}/{name}": hashlib.sha256(
+            (desk_compare.out / s.value / f"run_{i:02d}" / name).read_bytes()
+        ).hexdigest()
+        for s in (Strategy.BASIC, Strategy.FORKED)
+        for i in range(DESK_CFG.n_runs)
+        for name in ("metrics.csv", "audit.jsonl")
+    }
+    assert digests == {
+        "basic/run_00/metrics.csv": "2341a52d4de7d220153f44b46a93724b163c824ee61b7bd9bb6e0455a3a50b10",
+        "basic/run_00/audit.jsonl": "4861c029a1909473f7c4d3bb29f914f39e1735574a03aebde2234d40a94574be",
+        "basic/run_01/metrics.csv": "c4fdc72fd294258a9a33e69ea8330b05d3ce3d1b094f852db02d50f7a3370473",
+        "basic/run_01/audit.jsonl": "11a0857f5b2ef87505dc4e35a0d75981faf0248370ba76b8bc590eddef009a28",
+        "basic/run_02/metrics.csv": "5c6f9cdbfcac845abd5560b0b6a3505cdd007a392d920a045d7b9f3f92f53757",
+        "basic/run_02/audit.jsonl": "3c26c23f0550ec7ef0128b454dbac592533ad2ba11e0eeeed73011acf555eb87",
+        "forked/run_00/metrics.csv": "fc1821e62d884cd368de49c7ff2e2c25a477c8145bcb4b311b378583c511db8c",
+        "forked/run_00/audit.jsonl": "f27295433d767ccca5954c0fda477e17a38a6b5f5dff040d142f3481c7375d54",
+        "forked/run_01/metrics.csv": "136f211238acb5f58970cc33436975d88462726ca3513d10c123936a82f19622",
+        "forked/run_01/audit.jsonl": "d7064e2726828e0538d3e470d65d7deaf49ab849bc7bfe670b66beaddef8d692",
+        "forked/run_02/metrics.csv": "fc53575eb2ef46d6f1e8485674769f1d8f888e8e2718f757c665847dafc99cd1",
+        "forked/run_02/audit.jsonl": "419114810e71a7a623c87c2bea57199f132c29fa9a664bb7d7785bb9d5811bda",
+    }
 
 
 @pytest.mark.slow

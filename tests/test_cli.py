@@ -359,6 +359,18 @@ def _add_agent(manifest, **entry):
     manifest["next_id"] = max(manifest["next_id"], agent["id"] + 1)
 
 
+def test_inspect_pool_shows_eight_solved_seeds(tmp_path, capsys):
+    save_pool(make_pool(Strategy.BASIC), tmp_path)
+    manifest = json.loads((tmp_path / "pool.json").read_text())
+    _add_agent(manifest, id=0, solved=list(range(10, 18)))
+    _add_agent(manifest, id=1, solved=list(range(20, 29)))
+    (tmp_path / "pool.json").write_text(json.dumps(manifest))
+    assert cli.main(["inspect-pool", str(tmp_path)]) == 0
+    text = capsys.readouterr().out
+    assert "agent 0: 8 solved [10, 11, 12, 13, 14, 15, 16, 17] (born on 3)" in text
+    assert "agent 1: 9 solved [20, 21, 22, 23, 24, 25, 26, 27, ...] (born on 3)" in text
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [

@@ -27,8 +27,9 @@ from ecopool.ecosystem import (
     train_until_solved,
 )
 from ecopool.gridworld import GridConfig, generate_level, parse_ascii, render_ascii, reset
-from ecopool.policy import PolicyParams, init_params
+from ecopool.policy import init_params
 from ecopool.ppo import PpoConfig
+from oracles import params_from_layers
 
 FAST_CFG = PpoConfig(
     rollout_steps=256, minibatch_size=64, update_epochs=6, entropy_coef=0.02
@@ -347,7 +348,7 @@ class TestOptimizePool:
         new_agent = Agent(id=2, params=_tiny_params(2), solved=[12], birth_env=12)
         pool.agents.append(new_agent)
         monkeypatch.setattr(ecosystem, "test_agent", _scripted(table))
-        optimize_pool(pool, new_agent, audit=None)
+        optimize_pool(pool, new_agent, audit=[])
         assert {a.id for a in pool.agents} == {0, 1, 2}
         assert new_agent.solved == [12]
 
@@ -358,7 +359,7 @@ class TestOptimizePool:
         pool.agents.append(new_agent)
         table[(id(new_agent.params), 10)] = 1.0
         monkeypatch.setattr(ecosystem, "test_agent", _scripted(table))
-        optimize_pool(pool, new_agent, audit=None)
+        optimize_pool(pool, new_agent, audit=[])
         assert [a.id for a in pool.agents] == [1]
 
     def test_skips_already_credited_seeds(self, monkeypatch):
@@ -366,7 +367,7 @@ class TestOptimizePool:
         new_agent = Agent(id=1, params=_tiny_params(1), solved=[10, 11], birth_env=11)
         pool.agents.append(new_agent)
         monkeypatch.setattr(ecosystem, "test_agent", _scripted(table))
-        optimize_pool(pool, new_agent, audit=None)
+        optimize_pool(pool, new_agent, audit=[])
         assert pool.tests_total == 0  # seed 10 already credited, nothing to test
 
 
@@ -434,12 +435,12 @@ class TestEcosystemLearn:
         pool, _ = ecosystem_learn(pool, generate_level(2), FAST_CFG)
         assert len(pool.agents) == 2
         assert pool.forks_absorbed == 2
-        expected = PolicyParams(
-            actor=tuple(
+        expected = params_from_layers(
+            tuple(
                 (w1 + (w2 - w1) / 2, b1 + (b2 - b1) / 2)
                 for (w1, b1), (w2, b2) in zip(a1.actor, a2.actor)
             ),
-            critic=tuple(
+            tuple(
                 (w1 + (w2 - w1) / 2, b1 + (b2 - b1) / 2)
                 for (w1, b1), (w2, b2) in zip(a1.critic, a2.critic)
             ),

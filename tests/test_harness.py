@@ -769,3 +769,20 @@ def test_chart_writer_one_file_per_metric(tmp_path):
                 assert drawn == sum(getattr(r, f"{metric}_stderr") > 0 for r in recs)
                 whiskers += drawn
     assert whiskers == 3 * 2  # zeta, pool_size and cum_steps at 20 and 40
+
+
+def test_chart_of_one_checkpoint_widens_the_x_range(tmp_path):
+    # A stream of eval_every levels has one checkpoint, so x0 == x1: the
+    # x-range widens to one level either side and each line is one vertex
+    # in the middle of the plot.
+    basic = aggregate_runs([[_rec(7, 0.4, 2, 3584, 9, 0)], [_rec(7, 0.6, 3, 4096, 11, 1)]])
+    forked = aggregate_runs([[_rec(7, 0.5, 4, 2048, 12, 0)]])
+    write_metric_charts({"basic": basic, "forked": forked}, tmp_path)
+    for metric in METRICS:
+        text = (tmp_path / f"{metric}.svg").read_text()
+        lines = re.findall(r'<polyline points="([^",]*),[^" ]*"', text)
+        assert lines == ["345.0", "345.0"]
+        ticks = re.findall(r'<text x="([^"]*)" y="372" font-size="11"[^>]*>([^<]*)</text>', text)
+        assert ticks == [
+            ("70.0", "6"), ("207.5", "6.5"), ("345.0", "7"), ("482.5", "7.5"), ("620.0", "8")
+        ]

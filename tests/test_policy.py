@@ -30,6 +30,7 @@ from oracles import (
     fd_gradients,
     layerwise_adam,
     max_rel_error,
+    params_from_layers,
     random_grad_case,
     searchsorted_action,
 )
@@ -41,9 +42,8 @@ def _zero_params(obs_dim=147, hidden=(64, 64), n_actions=3) -> PolicyParams:
             (np.zeros((i, o)), np.zeros(o)) for i, o in zip(sizes, sizes[1:])
         )
 
-    return PolicyParams(
-        actor=stack((obs_dim, *hidden, n_actions)),
-        critic=stack((obs_dim, *hidden, 1)),
+    return params_from_layers(
+        stack((obs_dim, *hidden, n_actions)), stack((obs_dim, *hidden, 1))
     )
 
 
@@ -91,9 +91,8 @@ class TestForward:
         b2 = np.array([0.0, 0.1, -0.1])
         v2 = np.array([[0.7]])
         vb2 = np.array([-0.2])
-        params = PolicyParams(
-            actor=((w1, b1), (w2, b2)),
-            critic=((w1.copy(), b1.copy()), (v2, vb2)),
+        params = params_from_layers(
+            ((w1, b1), (w2, b2)), ((w1.copy(), b1.copy()), (v2, vb2))
         )
         x = np.array([0.4, -0.6])
 
@@ -119,9 +118,8 @@ class TestForward:
         params = init_params(0)
         bad_w = params.actor[-1][0].copy()
         bad_w[0, 0] = np.nan
-        broken = PolicyParams(
-            actor=params.actor[:-1] + ((bad_w, params.actor[-1][1]),),
-            critic=params.critic,
+        broken = params_from_layers(
+            params.actor[:-1] + ((bad_w, params.actor[-1][1]),), params.critic
         )
         _, obs = reset(generate_level(0))
         with pytest.raises(FloatingPointError):

@@ -138,7 +138,7 @@ class TestCollectRollout:
                 )
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
                 # Move the weights before the next rollout.
-                params, _ = learn_epoch(params, level, cfg, rng)
+                params, _ = learn_epoch(params, level, cfg, rng, policy.Adam(params, lr=cfg.lr))
 
     def test_forward_once_per_state(self, monkeypatch):
         forwards = 0
@@ -265,8 +265,8 @@ class TestPpoUpdate:
         params = init_params(5)
         level = generate_level(4)
         traj = collect_rollout(params, level, cfg.rollout_steps, np.random.default_rng(5))
-        a = ppo_update(params, traj, cfg, np.random.default_rng(6))
-        b = ppo_update(params, traj, cfg, np.random.default_rng(6))
+        a = ppo_update(params, traj, cfg, np.random.default_rng(6), policy.Adam(params, lr=cfg.lr))
+        b = ppo_update(params, traj, cfg, np.random.default_rng(6), policy.Adam(params, lr=cfg.lr))
         assert a == b
         assert a != params
 
@@ -275,7 +275,7 @@ class TestPpoUpdate:
         params = init_params(0)
         traj = collect_rollout(params, generate_level(0), 32, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            ppo_update(params, traj, cfg, np.random.default_rng(0))
+            ppo_update(params, traj, cfg, np.random.default_rng(0), policy.Adam(params, lr=cfg.lr))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -540,7 +540,10 @@ class TestSplitUpdate:
         with ppo.critic_helper():
             pid = _open_helper().proc.pid
             with pytest.raises(RuntimeError, match="actor failed in the caller"):
-                ppo_update(params, traj, SLOW_CFG, np.random.default_rng(7))
+                ppo_update(
+                    params, traj, SLOW_CFG, np.random.default_rng(7),
+                    policy.Adam(params, lr=SLOW_CFG.lr),
+                )
             assert ppo._helper is None
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -822,7 +825,8 @@ class TestLearnEpoch:
         cfg = PpoConfig(rollout_steps=96, minibatch_size=32, update_epochs=2)
         params = init_params(6)
         new_params, steps = learn_epoch(
-            params, generate_level(1), cfg, np.random.default_rng(7)
+            params, generate_level(1), cfg, np.random.default_rng(7),
+            policy.Adam(params, lr=cfg.lr),
         )
         assert steps == cfg.rollout_steps
         assert new_params != params
@@ -831,8 +835,12 @@ class TestLearnEpoch:
         cfg = PpoConfig(rollout_steps=96, minibatch_size=32, update_epochs=2)
         params = init_params(6)
         level = generate_level(1)
-        a, _ = learn_epoch(params, level, cfg, np.random.default_rng(8))
-        b, _ = learn_epoch(params, level, cfg, np.random.default_rng(8))
+        a, _ = learn_epoch(
+            params, level, cfg, np.random.default_rng(8), policy.Adam(params, lr=cfg.lr)
+        )
+        b, _ = learn_epoch(
+            params, level, cfg, np.random.default_rng(8), policy.Adam(params, lr=cfg.lr)
+        )
         assert a == b
 
 
